@@ -12,7 +12,9 @@
 #     which includes the conformance differ re-run with the resilience
 #     fault seams (signal_during_query / callback_stall / fork_race)
 #     armed, inside resilience_test (the seams have no env interface,
-#     so the armed run lives in-process there);
+#     so the armed run lives in-process there) and the repo benchmark's
+#     python self-tests (perfbench_selftest); the default preset runs it
+#     a second time pinned to one core (taskset -c 0);
 #   * the perf-smoke lane (bench_event_path --smoke): every event-delivery
 #     mode end to end in ~2s, a sanity check that the benches still run —
 #     not a performance gate.
@@ -70,6 +72,14 @@ for preset in "${presets[@]}"; do
 
   echo "=== [$preset] ctest (all labels) ==="
   ctest --preset "$preset" -j "$(nproc)"
+
+  if [ "$preset" = default ]; then
+    echo "=== [$preset] ctest pinned to one core ==="
+    # Several paths (slot sharing, spin-vs-park, attach races) behave
+    # differently on one core than on many; the full suite must pass
+    # both ways, whatever the CI host's core count.
+    taskset -c 0 ctest --preset "$preset"
+  fi
 
   echo "=== [$preset] perf-smoke lane ==="
   ctest --preset "$preset" -L perf-smoke --output-on-failure

@@ -1,39 +1,58 @@
 #include "perf/samples.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <limits>
 #include <mutex>
+
+#include "testing/fault_injection.hpp"
 
 namespace orca::perf {
 
-SampleStore::SampleStore(std::size_t threads, std::size_t capacity)
-    : event_buffers_(std::max<std::size_t>(threads, 1)),
-      callstack_slots_(std::max<std::size_t>(threads, 1)) {
-  for (auto& buf : event_buffers_) buf->reserve(capacity);
+SampleLane::SampleLane(std::size_t capacity) {
+  if (capacity == 0 ||
+      capacity > std::numeric_limits<std::size_t>::max() / sizeof(Cell) ||
+      testing::FaultInjector::alloc_fails(
+          testing::FaultPoint::kSampleRecord)) {
+    return;
+  }
+  // MAP_NORESERVE and no value-initialisation: the fresh pages read as
+  // zero stamps (unpublished) and stay out of RSS until a sample lands.
+  void* mem = ::mmap(nullptr, capacity * sizeof(Cell), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (mem == MAP_FAILED) return;
+  cells_ = static_cast<Cell*>(mem);
+  capacity_ = capacity;
 }
 
-SampleBuffer& SampleStore::buffer(int tid) noexcept {
-  const auto slot =
-      tid >= 0 ? std::min(static_cast<std::size_t>(tid),
-                          event_buffers_.size() - 1)
-               : 0;
-  return *event_buffers_[slot];
+SampleLane::~SampleLane() {
+  if (cells_ != nullptr) ::munmap(cells_, capacity_ * sizeof(Cell));
+}
+
+SampleStore::SampleStore(std::size_t threads, std::size_t capacity)
+    : callstack_slots_(std::max<std::size_t>(threads, 1)) {
+  lanes_.reserve(callstack_slots_.size());
+  for (std::size_t i = 0; i < callstack_slots_.size(); ++i) {
+    lanes_.push_back(std::make_unique<CachePadded<SampleLane>>(capacity));
+  }
+}
+
+SampleLane& SampleStore::buffer(int tid) noexcept {
+  return **lanes_[slot(tid)];
 }
 
 void SampleStore::record_callstack(int tid, CallstackRecord record) {
-  const auto slot =
-      tid >= 0 ? std::min(static_cast<std::size_t>(tid),
-                          callstack_slots_.size() - 1)
-               : 0;
-  CallstackSlot& cs = *callstack_slots_[slot];
+  CallstackSlot& cs = *callstack_slots_[slot(tid)];
   std::scoped_lock lk(cs.mu);
   cs.records.push_back(std::move(record));
 }
 
 std::vector<EventSample> SampleStore::merged_samples() const {
   std::vector<EventSample> out;
-  for (const auto& buf : event_buffers_) {
-    const auto& s = buf->samples();
-    out.insert(out.end(), s.begin(), s.end());
+  out.reserve(total_samples());
+  for (const auto& lane : lanes_) {
+    (*lane)->for_each([&out](const EventSample& s) { out.push_back(s); });
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const EventSample& a, const EventSample& b) {
@@ -57,18 +76,18 @@ std::vector<CallstackRecord> SampleStore::merged_callstacks() const {
 
 std::uint64_t SampleStore::total_samples() const noexcept {
   std::uint64_t n = 0;
-  for (const auto& buf : event_buffers_) n += buf->samples().size();
+  for (const auto& lane : lanes_) n += (*lane)->size();
   return n;
 }
 
 std::uint64_t SampleStore::total_dropped() const noexcept {
   std::uint64_t n = 0;
-  for (const auto& buf : event_buffers_) n += buf->dropped();
+  for (const auto& lane : lanes_) n += (*lane)->dropped();
   return n;
 }
 
 void SampleStore::clear() {
-  for (auto& buf : event_buffers_) buf->clear();
+  for (auto& lane : lanes_) (*lane)->clear();
   for (auto& slot : callstack_slots_) {
     std::scoped_lock lk(slot->mu);
     slot->records.clear();

@@ -3,22 +3,24 @@
 /// whose cost dominates the paper's overhead breakdown (Sec. V-B: 81-99% of
 /// the observed overhead is measurement/storage, not callbacks).
 ///
-/// Event samples go into preallocated per-thread ring-less buffers (drop +
-/// count on overflow, never block); join-time callstack records go into a
-/// per-thread growable store, since their cost is exactly what experiment
-/// E6 measures.
+/// Event samples go into `SampleLane`s: fixed-capacity, lock-free lanes
+/// that any number of threads — and a signal handler interrupting one of
+/// them — may append to at once. A writer claims a cell with one
+/// `fetch_add` and publishes it with a per-cell stamp; the only loss is a
+/// claim past capacity, and it is counted. The same lane backs the
+/// PrototypeCollector's per-thread store and the SIGPROF sampler.
+/// Join-time callstack records go into a per-thread growable store, since
+/// their cost is exactly what experiment E6 measures.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/cacheline.hpp"
 #include "common/spinlock.hpp"
-#include "testing/fault_injection.hpp"
 
 namespace orca::perf {
 
@@ -39,129 +41,99 @@ struct CallstackRecord {
   std::vector<const void*> frames;        ///< innermost first
 };
 
-/// Bounded append-only event buffer for one thread slot. Growth is
-/// amortized (the paper's "storage" cost the breakdown experiment
-/// measures); beyond the hard cap samples are dropped and counted, never
-/// blocking the application.
+/// Fixed-capacity, multi-writer, async-signal-safe sample lane.
 ///
-/// Slots are normally single-writer (indexed by gtid), but slot *sharing*
-/// is legal — several MiniMPI rank masters all carry gtid 0, and unknown
-/// threads clamp to slot 0 — so the write side takes a per-buffer lock
-/// (uncontended in the common single-writer case).
-class SampleBuffer {
+/// record() claims cell `tail.fetch_add(1)`, writes the sample, then
+/// release-stores the cell's stamp `base + pos + 1`. No lock, allocation
+/// or syscall: several threads sharing a slot (MiniMPI rank masters all
+/// carry gtid 0) and a SIGPROF handler re-entering on the writing thread
+/// each get a cell of their own. A claim at or past capacity is the only
+/// drop, so dropped() is just `tail - capacity`.
+///
+/// Readers visit only cells whose stamp is published; a cell is written
+/// once and never again before clear(), so a reader may run alongside the
+/// writers (the sampler's pump, a crash handler). clear() advances `base`
+/// by the capacity, which leaves every earlier stamp unpublished, so it is
+/// O(1) — but quiescent-side, like the merge it precedes.
+///
+/// The cells live in a private anonymous mapping: a page counts toward RSS
+/// only once a sample is written to it.
+class SampleLane {
  public:
-  /// Set the hard cap and pre-reserve a modest initial block.
-  void reserve(std::size_t capacity) {
-    std::scoped_lock lk(mu_);
-    capacity_ = capacity;
-    samples_.reserve(std::min<std::size_t>(capacity, 4096));
-  }
+  /// Maps `capacity` cells. A failed mapping (or an injected
+  /// FaultPoint::kSampleRecord failure) leaves a zero-capacity lane that
+  /// counts every record as dropped.
+  explicit SampleLane(std::size_t capacity);
+  ~SampleLane();
 
-  void record(const EventSample& s) {
-    // Injected allocation failure behaves exactly like hitting the hard
-    // cap: drop and count, never block or throw into the event path.
-    if (testing::FaultInjector::alloc_fails(
-            testing::FaultPoint::kSampleRecord)) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    // try_lock, never lock: record() is reachable from a signal handler
-    // interrupting the very thread that holds mu_ (a SIGPROF mid-record),
-    // where a blocking acquire would self-deadlock. Contention — including
-    // that reentrancy case — degrades to drop-and-count, same as the hard
-    // cap; dropped_ is atomic so the count never needs the lock.
-    if (!mu_.try_lock()) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    std::scoped_lock lk(std::adopt_lock, mu_);
-    if (samples_.size() < capacity_) {
-      samples_.push_back(s);
-    } else {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  SampleLane(const SampleLane&) = delete;
+  SampleLane& operator=(const SampleLane&) = delete;
 
-  /// Quiescent-side accessor: callers read after the producing threads
-  /// have joined (merge/report paths), so no snapshot copy is taken.
-  const std::vector<EventSample>& samples() const noexcept { return samples_; }
-
-  std::uint64_t dropped() const noexcept {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
-  void clear() noexcept {
-    std::scoped_lock lk(mu_);
-    samples_.clear();
-    dropped_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  mutable SpinLock mu_;
-  std::size_t capacity_ = 0;
-  std::vector<EventSample> samples_;
-  std::atomic<std::uint64_t> dropped_{0};
-};
-
-/// Fixed-capacity, truly async-signal-safe sample lane: one writer (the
-/// thread whose signal handler records into it), any number of quiescent
-/// readers. The array is preallocated up front — record() performs no
-/// allocation, locking, or syscalls, so it is the storage path a SIGPROF
-/// handler uses (SampleBuffer, in contrast, may grow its vector and only
-/// guarantees deadlock-freedom, not signal-safety). The crash postmortem
-/// flusher reads count() with acquire ordering from an arbitrary thread,
-/// which is why the counter publishes each slot with release semantics.
-class SignalSampleLane {
- public:
-  explicit SignalSampleLane(std::size_t capacity)
-      : capacity_(std::max<std::size_t>(capacity, 1)),
-        slots_(std::make_unique<EventSample[]>(capacity_)) {}
-
-  /// Single-writer append; drop-and-count when full. Safe from a signal
-  /// handler running on the owning thread.
   void record(const EventSample& s) noexcept {
-    const std::size_t n = count_.load(std::memory_order_relaxed);
-    if (n >= capacity_) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
+    const std::uint64_t pos = tail_.fetch_add(1, std::memory_order_relaxed);
+    if (pos >= capacity_) return;  // full: counted by dropped()
+    Cell& cell = cells_[pos];
+    cell.sample = s;
+    cell.stamp.store(base_.load(std::memory_order_relaxed) + pos + 1,
+                     std::memory_order_release);
+  }
+
+  /// Calls `fn(const EventSample&)` on every published cell, in claim
+  /// order, and returns how many it visited. Async-signal-safe when `fn`
+  /// is.
+  template <typename Fn>
+  std::size_t for_each(Fn&& fn) const {
+    const std::uint64_t end = std::min<std::uint64_t>(
+        tail_.load(std::memory_order_relaxed), capacity_);
+    const std::uint64_t base = base_.load(std::memory_order_relaxed);
+    std::size_t visited = 0;
+    for (std::uint64_t pos = 0; pos < end; ++pos) {
+      const Cell& cell = cells_[pos];
+      if (cell.stamp.load(std::memory_order_acquire) != base + pos + 1) {
+        continue;  // claimed, not yet published
+      }
+      fn(cell.sample);
+      ++visited;
     }
-    slots_[n] = s;
-    count_.store(n + 1, std::memory_order_release);
+    return visited;
   }
 
-  /// Samples published so far (acquire: the slots below the count are
-  /// fully written, even when read from another thread or a crash handler).
-  std::size_t count() const noexcept {
-    return count_.load(std::memory_order_acquire);
+  /// Published samples.
+  std::size_t size() const noexcept {
+    return for_each([](const EventSample&) {});
   }
 
-  const EventSample* data() const noexcept { return slots_.get(); }
-  std::size_t capacity() const noexcept { return capacity_; }
   std::uint64_t dropped() const noexcept {
-    return dropped_.load(std::memory_order_relaxed);
+    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+    return tail > capacity_ ? tail - capacity_ : 0;
   }
 
   void clear() noexcept {
-    count_.store(0, std::memory_order_relaxed);
-    dropped_.store(0, std::memory_order_relaxed);
+    base_.fetch_add(capacity_, std::memory_order_relaxed);
+    tail_.store(0, std::memory_order_relaxed);
   }
 
  private:
-  std::size_t capacity_;
-  std::unique_ptr<EventSample[]> slots_;
-  std::atomic<std::size_t> count_{0};
-  std::atomic<std::uint64_t> dropped_{0};
+  struct Cell {
+    std::atomic<std::uint64_t> stamp;  ///< base + pos + 1 once published
+    EventSample sample;
+  };
+  static_assert(sizeof(Cell) == 32);
+
+  Cell* cells_ = nullptr;
+  std::size_t capacity_ = 0;
+  std::atomic<std::uint64_t> tail_{0};
+  std::atomic<std::uint64_t> base_{0};
 };
 
 /// Per-thread sample storage for one tool session.
 class SampleStore {
  public:
-  /// `threads` buffer slots (indexed by gtid), each preallocated to
-  /// `capacity` samples.
+  /// `threads` lane slots (indexed by gtid) of `capacity` samples each.
   SampleStore(std::size_t threads, std::size_t capacity);
 
-  /// Buffer of thread slot `tid` (clamped to the last slot).
-  SampleBuffer& buffer(int tid) noexcept;
+  /// Lane of thread slot `tid` (clamped to the last slot).
+  SampleLane& buffer(int tid) noexcept;
 
   /// Append a callstack record for thread slot `tid`.
   void record_callstack(int tid, CallstackRecord record);
@@ -174,7 +146,7 @@ class SampleStore {
 
   std::uint64_t total_samples() const noexcept;
   std::uint64_t total_dropped() const noexcept;
-  std::size_t slots() const noexcept { return event_buffers_.size(); }
+  std::size_t slots() const noexcept { return lanes_.size(); }
 
   void clear();
 
@@ -184,7 +156,14 @@ class SampleStore {
     std::vector<CallstackRecord> records;
   };
 
-  std::vector<CachePadded<SampleBuffer>> event_buffers_;
+  /// Slot of `tid`, shared by the lanes and the callstack slots.
+  std::size_t slot(int tid) const noexcept {
+    return tid >= 0
+               ? std::min(static_cast<std::size_t>(tid), lanes_.size() - 1)
+               : 0;
+  }
+
+  std::vector<std::unique_ptr<CachePadded<SampleLane>>> lanes_;
   std::vector<CachePadded<CallstackSlot>> callstack_slots_;
 };
 

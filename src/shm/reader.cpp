@@ -121,6 +121,16 @@ std::unique_ptr<SegmentReader> SegmentReader::attach(const std::string& name,
     return set_error(err, AttachError::Kind::kIo, text);
   }
   auto* header = static_cast<SegmentHeader*>(base);
+  if (header->magic == 0 &&
+      header->ready.load(std::memory_order_acquire) == 0) {
+    // The creator sized the file but has not written the header yet: its
+    // fresh pages still read as zero. The attach retry budget quarantines
+    // a segment that never initializes.
+    ::munmap(base, mapped);
+    ::close(fd);
+    return set_error(err, AttachError::Kind::kTransient,
+                     "segment header not yet written");
+  }
   if (header->magic != kMagic || header->version != kVersion) {
     // Distinguish the two for the quarantine record, but both are final.
     const std::string text = header->magic != kMagic

@@ -43,7 +43,7 @@ enum class FaultPoint : int {
   kAsyncFlush,        ///< AsyncDispatcher::flush barrier entry
   kAsyncDrain,        ///< AsyncDispatcher::drain_pass (drainer loop)
   kMessageAppend,     ///< MessageBuilder::append_record allocation
-  kSampleRecord,      ///< perf::SampleBuffer::record allocation
+  kSampleRecord,      ///< perf::SampleLane constructor mapping
   kGenerationPublish, ///< Registry::publish_locked — new generation swap
   kGenerationRetire,  ///< Registry::scan_retired_locked — reclamation scan
   kSignalDuringQuery, ///< collector_api entry, ahead of the fast-path walk

@@ -124,8 +124,7 @@ bool SamplingCollector::start(ApiFn api, const SamplingOptions& opts) {
   const int slots = std::max(opts.max_threads, 1);
   lanes_.reserve(static_cast<std::size_t>(slots));
   for (int i = 0; i < slots; ++i) {
-    lanes_.push_back(
-        std::make_unique<perf::SignalSampleLane>(opts.lane_capacity));
+    lanes_.push_back(std::make_unique<perf::SampleLane>(opts.lane_capacity));
   }
   next_lane_.store(0, std::memory_order_relaxed);
   api_ = api;
@@ -185,7 +184,7 @@ SamplingStats SamplingCollector::stats() const noexcept {
   s.api_failures = api_failures_.load(std::memory_order_relaxed);
   s.dropped = unassigned_drops_.load(std::memory_order_relaxed);
   for (const auto& lane : lanes_) {
-    s.samples += lane->count();
+    s.samples += lane->size();
     s.dropped += lane->dropped();
   }
   return s;
@@ -209,12 +208,10 @@ std::size_t SamplingCollector::pump(
   if (head == nullptr) return 0;
   std::size_t pumped = 0;
   for (const auto& lane : lanes_) {
-    // count() is release-published per slot, so every sample it admits is
-    // fully written even while the handler is still firing elsewhere.
-    const std::size_t n = lane->count();
-    const perf::EventSample* data = lane->data();
-    for (std::size_t i = 0; i < n; ++i) head->push(data[i]);
-    pumped += n;
+    // Only published cells are visited, so every sample is fully written
+    // even while the handler is still firing elsewhere.
+    pumped += lane->for_each(
+        [&head](const perf::EventSample& s) { head->push(s); });
   }
   return pumped;
 }
@@ -277,10 +274,10 @@ void SamplingCollector::crash_section(void* ctx, int fd) {
   std::uint64_t samples = 0;
   std::uint64_t dropped =
       self->unassigned_drops_.load(std::memory_order_relaxed);
-  // count() is release-published per slot, so every sample the sum admits
-  // is fully written even when this runs on the crashing thread.
+  // size() counts only published cells, so the sum is exact even when this
+  // runs on the crashing thread mid-record.
   for (const auto& lane : self->lanes_) {
-    samples += lane->count();
+    samples += lane->size();
     dropped += lane->dropped();
   }
   write_kv(fd, "samples", samples);

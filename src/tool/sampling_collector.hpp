@@ -9,9 +9,10 @@
 /// thread is running, and the handler queries the runtime *from signal
 /// context* — legal only because the runtime answers STATE /
 /// CURRENT_PRID / RESILIENCE_STATS buffers on a lock-free, allocation-free
-/// path (docs/RESILIENCE.md). Samples land in preallocated
-/// `perf::SignalSampleLane`s; the handler performs no allocation, locking,
-/// or syscalls beyond what `sigaction(2)` sanctions.
+/// path (docs/RESILIENCE.md). Samples land in per-thread `perf::SampleLane`s
+/// mapped at start(); the handler claims a cell with one `fetch_add` and
+/// performs no allocation, locking, or syscalls beyond what `sigaction(2)`
+/// sanctions.
 ///
 /// One instance per process (signal handlers carry no context pointer);
 /// access it through `SamplingCollector::instance()`.
@@ -119,7 +120,7 @@ class SamplingCollector {
   void on_sigprof() noexcept;
 
   ApiFn api_ = nullptr;
-  std::vector<std::unique_ptr<perf::SignalSampleLane>> lanes_;
+  std::vector<std::unique_ptr<perf::SampleLane>> lanes_;
   std::atomic<int> next_lane_{0};
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> handler_invocations_{0};

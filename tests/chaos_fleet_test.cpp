@@ -87,6 +87,23 @@ void burn_region(int, void*) {
   _exit(0);
 }
 
+/// Runs `fn` on scope exit, a failed ASSERT_* included.
+template <typename Fn>
+struct OnExit {
+  Fn fn;
+  ~OnExit() { fn(); }
+};
+
+/// SIGKILL and reap a forked producer that has not been reaped yet
+/// (`kid` > 0), then mark it reaped.
+void kill_and_reap(pid_t& kid) {
+  if (kid <= 0) return;
+  (void)::kill(kid, SIGKILL);
+  int status = 0;
+  (void)::waitpid(kid, &status, 0);
+  kid = -1;
+}
+
 struct ScenarioResult {
   bool ok = true;
   std::string detail;
@@ -246,7 +263,7 @@ TEST(ChaosFleet, WatchdogReplacesWedgedShard) {
   std::remove(stop_file.c_str());
 
   // Fork before arming: the child must not inherit an armed injector.
-  const pid_t kid = fork();
+  pid_t kid = fork();
   ASSERT_GE(kid, 0);
   if (kid == 0) producer_child(prefix, stop_file);
 
@@ -264,6 +281,7 @@ TEST(ChaosFleet, WatchdogReplacesWedgedShard) {
     }
   });
   inj.arm();
+  const OnExit disarm{[&] { inj.disarm(); }};
 
   {
     MonitorOptions opts;
@@ -279,6 +297,13 @@ TEST(ChaosFleet, WatchdogReplacesWedgedShard) {
     opts.shard_stall_ms = 100;
     FleetMonitor monitor(opts);
     std::thread runner([&] { monitor.run(); });
+    // Kill the producer first so the monitor idles out, then join it; the
+    // wedged shard is released so the monitor's destructor can join it.
+    const OnExit cleanup{[&] {
+      release.store(true, std::memory_order_release);
+      kill_and_reap(kid);
+      if (runner.joinable()) runner.join();
+    }};
 
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -293,6 +318,7 @@ TEST(ChaosFleet, WatchdogReplacesWedgedShard) {
     { std::ofstream(stop_file) << "stop\n"; }
     int status = 0;
     ASSERT_EQ(::waitpid(kid, &status, 0), kid);
+    kid = -1;
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
     runner.join();
 
@@ -305,7 +331,6 @@ TEST(ChaosFleet, WatchdogReplacesWedgedShard) {
     EXPECT_EQ(fleet[0].produced, fleet[0].read + fleet[0].lost);
     EXPECT_GT(fleet[0].read, 0u);
   }  // monitor dtor joins the retired thread (release is set)
-  inj.disarm();
   std::remove(stop_file.c_str());
 }
 
@@ -315,7 +340,7 @@ TEST(ChaosFleet, HeartbeatDeadlineDrainsStalledProducer) {
   const std::string stop_file = "chaos_stall_stop." + tag;
   std::remove(stop_file.c_str());
 
-  const pid_t kid = fork();
+  pid_t kid = fork();
   ASSERT_GE(kid, 0);
   if (kid == 0) producer_child(prefix, stop_file);
 
@@ -334,6 +359,11 @@ TEST(ChaosFleet, HeartbeatDeadlineDrainsStalledProducer) {
   opts.heartbeat_deadline_ms = 250;
   FleetMonitor monitor(opts);
   std::thread runner([&] { monitor.run(); });
+  // Kill the producer first so the monitor idles out, then join it.
+  const OnExit cleanup{[&] {
+    kill_and_reap(kid);
+    if (runner.joinable()) runner.join();
+  }};
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(15);
@@ -359,9 +389,7 @@ TEST(ChaosFleet, HeartbeatDeadlineDrainsStalledProducer) {
   EXPECT_EQ(fleet[0].produced, fleet[0].read + fleet[0].lost);
   EXPECT_GT(fleet[0].read, 0u);
 
-  ASSERT_EQ(::kill(kid, SIGKILL), 0);
-  int status = 0;
-  ASSERT_EQ(::waitpid(kid, &status, 0), kid);
+  kill_and_reap(kid);
   for (const orca::shm::SegmentName& s :
        orca::shm::discover_segments(prefix)) {
     ::shm_unlink(("/" + s.name).c_str());

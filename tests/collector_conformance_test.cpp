@@ -208,16 +208,23 @@ TEST(FaultInjection, InjectedAllocFailureMakesBuilderReturnNpos) {
 
 TEST(FaultInjection, InjectedAllocFailureDropsSampleNotProcess) {
   ScopedFaultInjection fi;
-  orca::perf::SampleBuffer buf;
-  buf.reserve(16);
-  fi->fail_allocs(FaultPoint::kSampleRecord, 2);
+  fi->fail_allocs(FaultPoint::kSampleRecord, 1);
   fi->arm();
 
+  // The injected mapping failure leaves a zero-capacity lane: every record
+  // is dropped and counted, exactly like hitting the hard cap.
+  orca::perf::SampleLane failed(16);
+  orca::perf::SampleLane mapped(16);  // budget spent: this one maps
   orca::perf::EventSample s;
-  for (int i = 0; i < 5; ++i) buf.record(s);
-  // The two injected failures behave exactly like hitting the hard cap.
-  EXPECT_EQ(buf.dropped(), 2u);
-  EXPECT_EQ(buf.samples().size(), 3u);
+  for (int i = 0; i < 5; ++i) {
+    failed.record(s);
+    mapped.record(s);
+  }
+  EXPECT_EQ(failed.dropped(), 5u);
+  EXPECT_EQ(failed.size(), 0u);
+  EXPECT_EQ(mapped.dropped(), 0u);
+  EXPECT_EQ(mapped.size(), 5u);
+  EXPECT_EQ(fi->hits(FaultPoint::kSampleRecord), 1u);
 }
 
 TEST(FaultInjection, SchedulePerturbationKeepsProtocolIntact) {

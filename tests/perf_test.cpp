@@ -2,9 +2,14 @@
 /// trace format, and the libpsx-style C API.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
+#include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "perf/counter.hpp"
 #include "perf/psx.h"
@@ -36,17 +41,124 @@ TEST(HwTimeCounter, MonotonicAndCalibrated) {
   EXPECT_LT(HwTimeCounter::tsc_hz(), 1e11);
 }
 
-TEST(SampleBuffer, RecordsUntilCapThenDrops) {
-  SampleBuffer buf;
-  buf.reserve(10);
+TEST(SampleLane, RecordsUntilCapThenDropsAndClearsStaleCells) {
+  SampleLane lane(10);
   for (int i = 0; i < 15; ++i) {
-    buf.record({static_cast<std::uint64_t>(i), 0, 1, 0});
+    lane.record({static_cast<std::uint64_t>(i), 0, 1, 0});
   }
-  EXPECT_EQ(buf.samples().size(), 10u);
-  EXPECT_EQ(buf.dropped(), 5u);
-  buf.clear();
-  EXPECT_TRUE(buf.samples().empty());
-  EXPECT_EQ(buf.dropped(), 0u);
+  EXPECT_EQ(lane.size(), 10u);
+  EXPECT_EQ(lane.dropped(), 5u);
+
+  lane.clear();
+  EXPECT_EQ(lane.size(), 0u);
+  EXPECT_EQ(lane.dropped(), 0u);
+  // The cells still hold the first run's samples; none may resurface.
+  for (int i = 0; i < 3; ++i) {
+    lane.record({static_cast<std::uint64_t>(100 + i), 0, 2, 0});
+  }
+  std::vector<std::uint64_t> ticks;
+  lane.for_each([&](const EventSample& s) { ticks.push_back(s.ticks); });
+  EXPECT_EQ(ticks, (std::vector<std::uint64_t>{100, 101, 102}));
+  EXPECT_EQ(lane.dropped(), 0u);
+}
+
+TEST(SampleLane, ConcurrentWritersOnOneLaneLoseNothing) {
+  constexpr int kWriters = 4;
+  constexpr std::uint64_t kPerWriter = 50000;
+  SampleLane lane(kWriters * kPerWriter);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&lane, w] {
+      for (std::uint64_t i = 0; i < kPerWriter; ++i) lane.record({i, 0, 1, w});
+    });
+  }
+  for (auto& t : writers) t.join();
+  EXPECT_EQ(lane.size(), kWriters * kPerWriter);
+  EXPECT_EQ(lane.dropped(), 0u);
+
+  // Every writer's samples arrive whole and in its own program order.
+  std::vector<std::uint64_t> next(kWriters, 0);
+  lane.for_each([&](const EventSample& s) {
+    EXPECT_EQ(s.ticks, next[static_cast<std::size_t>(s.tid)]++);
+  });
+  for (const std::uint64_t n : next) EXPECT_EQ(n, kPerWriter);
+}
+
+SampleLane* g_signal_lane = nullptr;
+std::atomic<std::uint64_t> g_signal_records{0};
+
+void record_from_signal(int) {
+  g_signal_lane->record({0, 0, 2, 0});
+  g_signal_records.fetch_add(1, std::memory_order_relaxed);
+}
+
+TEST(SampleLane, SignalReentryOnTheWritingThreadLosesNothing) {
+  constexpr std::uint64_t kMinLoop = 20000;
+  constexpr std::uint64_t kMaxLoop = 3000000;
+  SampleLane lane(1u << 22);
+  g_signal_lane = &lane;
+  g_signal_records.store(0);
+  struct sigaction sa {};
+  sa.sa_handler = &record_from_signal;
+  sigemptyset(&sa.sa_mask);
+  sa.sa_flags = SA_RESTART;
+  struct sigaction old {};
+  ASSERT_EQ(sigaction(SIGUSR1, &sa, &old), 0);
+
+  std::atomic<bool> done{false};
+  std::uint64_t loop_records = 0;
+  std::thread writer([&] {
+    // Keep writing until the handler has interrupted us a fair number of
+    // times, so some signals land mid-record.
+    while (loop_records < kMaxLoop &&
+           (loop_records < kMinLoop ||
+            g_signal_records.load(std::memory_order_relaxed) < 100)) {
+      lane.record({loop_records++, 0, 1, 0});
+    }
+    done.store(true);
+  });
+  while (!done.load()) {
+    pthread_kill(writer.native_handle(), SIGUSR1);
+    std::this_thread::yield();
+  }
+  writer.join();
+  ASSERT_EQ(sigaction(SIGUSR1, &old, nullptr), 0);
+
+  const std::uint64_t attempted = loop_records + g_signal_records.load();
+  EXPECT_GT(g_signal_records.load(), 0u);
+  EXPECT_EQ(lane.size() + lane.dropped(), attempted);
+  EXPECT_EQ(lane.dropped(), 0u);
+  g_signal_lane = nullptr;
+}
+
+TEST(SampleLane, ReaderSeesOnlyPublishedCellsWhileWritersRun) {
+  constexpr int kWriters = 3;
+  constexpr std::uint64_t kPerWriter = 50000;
+  constexpr std::uint64_t kTag = 0x5A5A5A5A5A5A5A5AULL;
+  SampleLane lane(kWriters * kPerWriter);
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (std::uint64_t i = 1; i <= kPerWriter; ++i) {
+        lane.record({i, i ^ kTag, 1, w});
+      }
+      running.fetch_sub(1);
+    });
+  }
+  // A torn or unpublished cell would show a zero tick or a broken tag.
+  std::uint64_t torn = 0;
+  std::size_t passes = 0;
+  do {
+    lane.for_each([&](const EventSample& s) {
+      if (s.ticks == 0 || s.region_id != (s.ticks ^ kTag)) ++torn;
+    });
+    ++passes;
+  } while (running.load() > 0);
+  for (auto& t : writers) t.join();
+  EXPECT_EQ(torn, 0u);
+  EXPECT_GT(passes, 0u);
+  EXPECT_EQ(lane.size(), kWriters * kPerWriter);
 }
 
 TEST(SampleStore, MergesAcrossThreadsSortedByTicks) {

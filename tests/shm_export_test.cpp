@@ -361,6 +361,19 @@ TEST(ShmAttackSurface, TransientStatesClassifiedRetryable) {
   EXPECT_EQ(err.kind, shm::AttachError::Kind::kTransient);
   EXPECT_TRUE(err.retryable());
 
+  // Sized but unwritten: the creator's ftruncate landed, its header stores
+  // have not, so every byte still reads zero.
+  const std::string zeroed =
+      unique_prefix("transient") + "." + std::to_string(::getpid()) + ".3";
+  const int zfd = ::shm_open(("/" + zeroed).c_str(), O_CREAT | O_RDWR, 0600);
+  ASSERT_GE(zfd, 0);
+  ASSERT_EQ(::ftruncate(zfd, static_cast<off_t>(seg.geo.total_bytes)), 0);
+  ::close(zfd);
+  EXPECT_EQ(shm::SegmentReader::attach(zeroed, &err), nullptr);
+  EXPECT_EQ(err.kind, shm::AttachError::Kind::kTransient) << err.message;
+  EXPECT_TRUE(err.retryable());
+  ::shm_unlink(("/" + zeroed).c_str());
+
   // Mid-create: the file exists but is shorter than the header.
   const std::string shorty =
       unique_prefix("transient") + "." + std::to_string(::getpid()) + ".2";

@@ -1,13 +1,16 @@
 /// \file bench_primitives.cpp
 /// Primitive-level synchronization costs, isolated from whole-benchmark
 /// noise (EPCC/NPB measure directive overhead end to end; this measures the
-/// three hot loops those numbers decompose into):
+/// hot loops those numbers decompose into):
 ///
 ///  * barrier round-trip — one arrive..release episode through
 ///    `Runtime::explicit_barrier`, swept over barrier algorithm
 ///    (ORCA_BARRIER=centralized|dissemination|tree) × thread count. The
 ///    master times batches of `--inner` crossings; since a barrier holds
 ///    the team in lockstep, its per-batch time is the team round-trip.
+///  * fork/join round-trip — one empty `Runtime::fork` from the serial
+///    master: wake the pool, run nothing, and meet at the join barrier.
+///    This is the worker wake-up hop the spin-then-park wait exists for.
 ///  * spinlock acquire — one TTAS SpinLock lock/unlock under contention
 ///    from the rest of the team (non-masters hammer the lock until the
 ///    master's timed batches complete).
@@ -71,6 +74,8 @@ void barrier_microtask(int, void* raw) {
     }
   }
 }
+
+void empty_microtask(int, void*) {}
 
 void spinlock_microtask(int, void* raw) {
   Frame& frame = *static_cast<Frame*>(raw);
@@ -146,6 +151,33 @@ Cell run_cell(void (*microtask)(int, void*), BarrierKind algo, int threads,
   return cell;
 }
 
+/// Times batches of empty regions forked from the serial master; the
+/// first fork (pool creation) is outside the timed batches.
+Cell run_fork_join(int threads, int reps, int inner) {
+  RuntimeConfig cfg;
+  cfg.num_threads = threads;
+  Runtime rt(cfg);
+  Runtime::make_current(&rt);
+  rt.fork(&empty_microtask, nullptr, threads);
+
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(reps));
+  for (int b = 0; b < reps; ++b) {
+    const std::uint64_t begin = SteadyClock::now();
+    for (int i = 0; i < inner; ++i) {
+      rt.fork(&empty_microtask, nullptr, threads);
+    }
+    samples.push_back(static_cast<double>(SteadyClock::now() - begin) /
+                      static_cast<double>(inner));
+  }
+  rt.quiesce();
+  Runtime::make_current(nullptr);
+
+  Cell cell;
+  cell.dist = orca::bench::summarize(samples);
+  return cell;
+}
+
 void print_row(orca::TextTable& table, const char* primitive,
                const char* algo, int threads, int reps, int inner,
                const Summary& dist) {
@@ -194,6 +226,12 @@ int main(int argc, char** argv) {
       print_row(table, "barrier", orca::rt::barrier_kind_name(algo), threads,
                 reps, barrier_inner, cell.dist);
     }
+  }
+  for (const int threads : thread_counts) {
+    const Cell cell = run_fork_join(threads, reps, barrier_inner);
+    print_row(table, "fork_join",
+              orca::rt::barrier_kind_name(BarrierKind::kCentralized), threads,
+              reps, barrier_inner, cell.dist);
   }
   for (const int threads : thread_counts) {
     const Cell cell = run_cell(&spinlock_microtask, BarrierKind::kCentralized,

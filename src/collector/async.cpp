@@ -72,7 +72,7 @@ void AsyncDispatcher::stop_and_join() {
   // push fails fast (counted dropped) instead of waiting for a consumer
   // that is about to exit.
   for (auto& ring : rings_) ring->close();
-  parker_.signal();
+  parker_.advance();
   drainer_.join();
   if (watchdog_.joinable()) {
     watchdog_stop_.store(true, std::memory_order_release);
@@ -107,7 +107,7 @@ void AsyncDispatcher::flush() {
   }
   Backoff backoff;
   while (!settled()) {
-    parker_.signal();  // drainer may be in its timed sleep
+    parker_.advance();  // drainer may be in its timed sleep
     backoff.pause();
   }
 }
@@ -126,7 +126,7 @@ bool AsyncDispatcher::publish(std::size_t slot,
   if (telemetry::metrics_armed()) {
     telemetry::gauge_max(telemetry::Gauge::kRingOccupancy, ring.size());
   }
-  if (sleeping_.load(std::memory_order_acquire)) parker_.signal();
+  if (sleeping_.load(std::memory_order_acquire)) parker_.advance();
   return true;
 }
 

@@ -53,26 +53,15 @@ int ceil_log2(int n) noexcept {
 void CentralizedBarrier::arrive_and_wait(int tid) {
   (void)tid;  // the counter is the rendezvous; member identity is irrelevant
   if (size_ <= 1) return;
-  const std::uint64_t gen = generation_.load(std::memory_order_acquire);
+  const std::uint64_t gen = generation_.epoch();
   if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == size_) {
+    // Reset before the release: a waiter may re-arrive at the next
+    // barrier as soon as it sees the new generation.
     arrived_.store(0, std::memory_order_relaxed);
-    {
-      // The lock orders the generation flip with a waiter's predicate
-      // check; without it a late sleeper could miss the wake-up forever.
-      std::scoped_lock lk(mu_);
-      generation_.fetch_add(1, std::memory_order_release);
-    }
-    cv_.notify_all();
+    generation_.advance(Wake::kAll);
     return;
   }
-  for (int i = 0; i < kSpinBeforeYield; ++i) {
-    if (generation_.load(std::memory_order_acquire) != gen) return;
-    cpu_relax();
-  }
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] {
-    return generation_.load(std::memory_order_acquire) != gen;
-  });
+  generation_.wait(gen);
 }
 
 // --- dissemination ----------------------------------------------------------

@@ -7,11 +7,13 @@
 /// runtime selects an algorithm per team via `ORCA_BARRIER`
 /// (`centralized` | `dissemination` | `tree`, see RuntimeConfig::barrier):
 ///
-///  * **centralized** — the original sense-reversing counter barrier:
-///    one fetch_add per arrival, a generation flip by the last thread,
-///    condition-variable sleep for late wakers. O(n) contention on two
-///    cachelines, but the CV sleep makes it the safest default when
-///    threads are heavily oversubscribed (32 EPCC threads on few cores).
+///  * **centralized** — the original counter barrier: one fetch_add per
+///    arrival, a generation advance by the last thread, and the runtime's
+///    spin-then-park wait (common/parking.hpp) for everyone else. O(n)
+///    contention on two cachelines. The parking throttle drops the long
+///    spin once the process has more threads than CPUs, so heavily
+///    oversubscribed teams (32 EPCC threads on few cores) sleep instead
+///    of burning the CPU the last arriver needs.
 ///  * **dissemination** — ceil(log2 n) rounds of pairwise signalling;
 ///    thread i signals (i + 2^r) mod n each round and waits on its own
 ///    cacheline-padded inbox. No shared hot line, no serial release
@@ -30,20 +32,18 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/cacheline.hpp"
-#include "common/spinlock.hpp"
+#include "common/parking.hpp"
 
 namespace orca::rt {
 
 /// Which barrier algorithm a team uses (ORCA_BARRIER).
 enum class BarrierKind : int {
-  kCentralized = 0,   ///< sense-reversing counter + CV (the default)
+  kCentralized = 0,   ///< counter + spin-then-park (the default)
   kDissemination = 1, ///< log2(n)-round pairwise signalling
   kTree = 2,          ///< fanout-4 combining tree + release broadcast
 };
@@ -65,15 +65,16 @@ class Barrier {
   virtual BarrierKind kind() const noexcept = 0;
 };
 
-/// Centralized sense-reversing barrier (the pre-pluggable `TeamBarrier`).
-/// Yield-friendly: a short spin, then a condition-variable sleep, so
-/// oversubscribed runs (32 EPCC threads on few cores) do not livelock.
+/// Centralized counter barrier (the pre-pluggable `TeamBarrier`). Waiters
+/// park on the generation `Parker`, which spins while the process fits its
+/// CPUs and sleeps on a condvar otherwise, so oversubscribed runs (32 EPCC
+/// threads on few cores) do not livelock.
 class CentralizedBarrier final : public Barrier {
  public:
+  /// The generation is monotonic, so only the arrival count is reset.
   void init(int size) noexcept override {
     size_ = size;
     arrived_.store(0, std::memory_order_relaxed);
-    generation_.store(0, std::memory_order_relaxed);
   }
 
   void arrive_and_wait(int tid) override;
@@ -85,9 +86,7 @@ class CentralizedBarrier final : public Barrier {
  private:
   int size_ = 1;
   std::atomic<int> arrived_{0};
-  std::atomic<std::uint64_t> generation_{0};
-  std::mutex mu_;
-  std::condition_variable cv_;
+  Parker generation_;
 };
 
 /// Dissemination barrier: in round r (0..rounds-1), thread i stores its

@@ -41,20 +41,22 @@ struct Runtime::Worker {
     // query during creation still has an answer.
     desc.set_state(THR_OVHD_STATE);
     desc.emitter = owner.registry().acquire_emitter();
+    managed_thread_count().fetch_add(1, std::memory_order_relaxed);
     thread = std::thread([this] { runtime.worker_main(*this); });
   }
 
   ~Worker() {
     shutdown.store(true, std::memory_order_release);
-    // The signal exists only to wake the thread for the join. After a
+    // The advance exists only to wake the thread for the join. After a
     // fork() the child detaches the handle first (the thread exists only
-    // in the parent), and skipping the signal then is what keeps this
-    // destructor fork-safe: Parker::signal() locks a mutex the vanished
+    // in the parent), and skipping the advance then is what keeps this
+    // destructor fork-safe: Parker::advance() locks a mutex the vanished
     // worker may have held at the snapshot instant.
     if (thread.joinable()) {
-      parker.signal();
+      parker.advance();
       thread.join();
     }
+    managed_thread_count().fetch_sub(1, std::memory_order_relaxed);
     runtime.registry().release_emitter(desc.emitter);
   }
 
@@ -384,7 +386,7 @@ void Runtime::fork(Microtask fn, void* frame, int num_threads) {
   for (int i = 1; i < n; ++i) {
     Worker& w = *workers_[static_cast<std::size_t>(i - 1)];
     w.inbox.store(&team_, std::memory_order_release);
-    w.parker.signal();
+    w.parker.advance();
   }
 
   // The master becomes team member 0 and does its share of the work.
@@ -485,6 +487,9 @@ void Runtime::fork_nested(ThreadDescriptor& parent, Microtask fn, void* frame,
     team->members[static_cast<std::size_t>(i)] = desc.get();
     slaves.push_back(std::move(desc));
   }
+  // Ephemeral slaves are managed threads too: a nested team can push the
+  // process past its CPUs, and the parking throttle must see that.
+  managed_thread_count().fetch_add(n - 1, std::memory_order_relaxed);
   for (int i = 1; i < n; ++i) {
     ThreadDescriptor* desc = slaves[static_cast<std::size_t>(i - 1)].get();
     threads.emplace_back([this, desc] {
@@ -503,6 +508,7 @@ void Runtime::fork_nested(ThreadDescriptor& parent, Microtask fn, void* frame,
   run_region(*team, parent);
 
   for (auto& t : threads) t.join();
+  managed_thread_count().fetch_sub(n - 1, std::memory_order_relaxed);
 
   parent.set_state(THR_OVHD_STATE);
   event(parent, OMP_EVENT_JOIN);
@@ -771,7 +777,8 @@ void Runtime::resume_child_after_fork() {
   // blocked on at the snapshot instant, and glibc's pthread_cond_destroy
   // waits for such a waiter to leave — which in the child can never happen.
   // Only the emitter nodes (plain atomics under the registry SpinLock,
-  // which the resume above already unlocked) go back to the pool.
+  // which the resume above already unlocked) go back to the pool, and the
+  // managed-thread count drops by the workers the destructor never sees.
   for (auto& w : workers_) {
     if (w->thread.joinable()) w->thread.detach();
     w->shutdown.store(true, std::memory_order_relaxed);
@@ -779,6 +786,8 @@ void Runtime::resume_child_after_fork() {
     registry_.release_emitter(w->desc.emitter);
     (void)w.release();
   }
+  managed_thread_count().fetch_sub(static_cast<int>(workers_.size()),
+                                   std::memory_order_relaxed);
   workers_.clear();
   const bool rearm = config_.fork_mode == ForkMode::kRearm;
   if (async_ != nullptr) {

@@ -3,6 +3,7 @@
 #include <dlfcn.h>
 
 #include <array>
+#include <memory>
 #include <mutex>
 
 #include "collector/async.hpp"
@@ -14,16 +15,20 @@
 namespace orca::collector {
 namespace {
 
+using Handler = std::function<void(OMP_COLLECTORAPI_EVENT)>;
+
 /// Process-wide table of owned handlers, one slot per event kind. The ORA
 /// callback ABI (`void(*)(OMP_COLLECTORAPI_EVENT)`) carries no context
 /// pointer, so owned std::function handlers are reached through a single
 /// static trampoline that looks the handler up by the event it was invoked
 /// with. A SpinLock (not std::mutex) keeps the trampoline usable from the
 /// runtime's emission path, which must never block on a sleeping lock.
+/// Slots hold the handler behind a shared_ptr so a delivery copies one
+/// pointer, never the closure itself (a pipeline closure is too large for
+/// std::function's small buffer and would allocate on every event).
 struct OwnedHandlers {
   orca::SpinLock mu;
-  std::array<std::function<void(OMP_COLLECTORAPI_EVENT)>, ORCA_EVENT_EXT_LAST>
-      fns;
+  std::array<std::shared_ptr<const Handler>, ORCA_EVENT_EXT_LAST> fns;
 };
 
 OwnedHandlers& handlers() {
@@ -35,29 +40,33 @@ bool handler_index_ok(int event) noexcept {
   return event > 0 && event < ORCA_EVENT_EXT_LAST;
 }
 
-/// The one callback pointer ever registered for owned handlers. Copies the
-/// handler out under the lock and invokes it unlocked, so a handler may
-/// re-enter the client (e.g. query state) without deadlocking the table.
+/// The one callback pointer ever registered for owned handlers. Takes a
+/// reference to the handler under the lock and invokes it unlocked, so a
+/// handler may re-enter the client (e.g. query state) without deadlocking
+/// the table, and a concurrent drop_handler cannot free it mid-call.
 void trampoline(OMP_COLLECTORAPI_EVENT event) {
   if (!handler_index_ok(static_cast<int>(event))) return;
-  std::function<void(OMP_COLLECTORAPI_EVENT)> fn;
+  std::shared_ptr<const Handler> fn;
   {
     std::scoped_lock lock(handlers().mu);
     fn = handlers().fns[static_cast<std::size_t>(event)];
   }
-  if (fn) fn(event);
+  if (fn) (*fn)(event);
 }
 
-void install_handler(int event,
-                     std::function<void(OMP_COLLECTORAPI_EVENT)> fn) {
+void install_handler(int event, Handler fn) {
+  auto owned = std::make_shared<const Handler>(std::move(fn));
   std::scoped_lock lock(handlers().mu);
-  handlers().fns[static_cast<std::size_t>(event)] = std::move(fn);
+  handlers().fns[static_cast<std::size_t>(event)] = std::move(owned);
 }
 
+/// The displaced handler is released after the lock is dropped: its
+/// closure may own objects whose destructors must not run under a SpinLock.
 void drop_handler(int event) {
   if (!handler_index_ok(event)) return;
+  std::shared_ptr<const Handler> dropped;
   std::scoped_lock lock(handlers().mu);
-  handlers().fns[static_cast<std::size_t>(event)] = nullptr;
+  dropped.swap(handlers().fns[static_cast<std::size_t>(event)]);
 }
 
 }  // namespace

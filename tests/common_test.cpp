@@ -97,49 +97,74 @@ TEST(TicketLockTest, IsFifoFair) {
 
 // --- parking -------------------------------------------------------------------
 
-TEST(ParkerTest, SignalBeforeWaitIsNotLost) {
+TEST(ParkerTest, AdvanceBeforeWaitIsNotLost) {
   Parker parker;
-  parker.signal();  // producer runs first
-  parker.wait(0);   // must return immediately
+  parker.advance();  // producer runs first
+  parker.wait(0);    // must return immediately
   SUCCEED();
 }
 
-TEST(ParkerTest, WakesBlockedWaiter) {
+TEST(ParkerTest, WakesWaiterParkedAfterSpinBudget) {
   Parker parker;
   std::atomic<bool> woke{false};
   std::thread consumer([&] {
     parker.wait(0);
     woke.store(true);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // Far past the spin budget: the consumer has given up spinning and is
+  // asleep on the condvar, so only the advance's notify can wake it.
+  std::this_thread::sleep_for(20 * kParkSpinBudget);
   EXPECT_FALSE(woke.load());
-  parker.signal();
+  parker.advance();
   consumer.join();
   EXPECT_TRUE(woke.load());
 }
 
-TEST(ParkerTest, EpochAdvancesPerSignal) {
+TEST(ParkerTest, WakeAllReleasesEveryParkedWaiter) {
+  Parker parker;
+  std::atomic<int> woke{0};
+  std::vector<std::thread> waiters;
+  for (int t = 0; t < 3; ++t) {
+    waiters.emplace_back([&] {
+      parker.wait(0);
+      woke.fetch_add(1);
+    });
+  }
+  std::this_thread::sleep_for(20 * kParkSpinBudget);
+  EXPECT_EQ(woke.load(), 0);
+  parker.advance(Wake::kAll);
+  for (auto& w : waiters) w.join();
+  EXPECT_EQ(woke.load(), 3);
+}
+
+TEST(ParkerTest, EpochAdvancesPerAdvance) {
   Parker parker;
   EXPECT_EQ(parker.epoch(), 0u);
-  parker.signal();
-  parker.signal();
+  parker.advance();
+  parker.advance(Wake::kAll);
   EXPECT_EQ(parker.epoch(), 2u);
 }
 
-TEST(CountdownEventTest, WaitsForAllArrivals) {
-  CountdownEvent event;
-  event.reset(3);
-  std::atomic<int> arrived{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 3; ++t) {
-    workers.emplace_back([&] {
-      arrived.fetch_add(1);
-      event.arrive();
-    });
-  }
-  event.wait();
-  EXPECT_EQ(arrived.load(), 3);
-  for (auto& w : workers) w.join();
+TEST(ParkerTest, WaitForTimesOutWithoutAdvance) {
+  Parker parker;
+  EXPECT_FALSE(parker.wait_for(0, std::chrono::milliseconds(1)));
+  parker.advance();
+  EXPECT_TRUE(parker.wait_for(0, std::chrono::milliseconds(1)));
+}
+
+TEST(ParkSpinBudgetTest, ThrottlesOnceThreadsOutnumberCpus) {
+  // The long spin runs only while every managed thread has a CPU.
+  EXPECT_EQ(park_spin_budget(1, 1), kParkSpinBudget);
+  EXPECT_EQ(park_spin_budget(4, 4), kParkSpinBudget);
+  EXPECT_EQ(park_spin_budget(5, 4).count(), 0);
+  EXPECT_EQ(park_spin_budget(2, 1).count(), 0);
+  EXPECT_EQ(park_spin_budget(32, 4).count(), 0);
+}
+
+TEST(ParkSpinBudgetTest, HostInputsAreSane) {
+  EXPECT_GE(affinity_cpus(), 1);
+  // No runtime exists in this binary: only the calling master counts.
+  EXPECT_EQ(managed_thread_count().load(), 1);
 }
 
 // --- stats --------------------------------------------------------------------

@@ -17,8 +17,19 @@
 #include <cstdint>
 
 #include "collector/message.hpp"
+#include "common/parking.hpp"
 #include "runtime/runtime.hpp"
 #include "tool/client2.hpp"
+
+// TSan forbids creating threads after a multi-threaded fork
+// (die_after_fork); child-side checks that spawn threads skip under it.
+#if defined(__SANITIZE_THREAD__)
+#define ORCA_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define ORCA_TEST_TSAN 1
+#endif
+#endif
 
 namespace {
 
@@ -119,14 +130,9 @@ TEST(ProcessFork, DisableModeChildKeepsQueriesStopsDelivery) {
 }
 
 TEST(ProcessFork, RearmModeChildRestartsDrainer) {
-#if defined(__SANITIZE_THREAD__)
+#if defined(ORCA_TEST_TSAN)
   GTEST_SKIP() << "TSan forbids creating threads after a multi-threaded "
                   "fork (die_after_fork); rearm mode does exactly that";
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-  GTEST_SKIP() << "TSan forbids creating threads after a multi-threaded "
-                  "fork (die_after_fork); rearm mode does exactly that";
-#endif
 #endif
   run_fork_mode_test(ForkMode::kRearm, /*expect_running=*/true);
 }
@@ -148,6 +154,48 @@ TEST(ProcessFork, ForkWithNoCollectionIsTransparent) {
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
+  Runtime::make_current(nullptr);
+}
+
+void noop_microtask(int, void*) {}
+
+TEST(ProcessFork, ChildManagedThreadCountMatchesRebuiltPool) {
+  // The parking throttle compares the managed-thread count with the CPU
+  // count. The child leaks its parent's pool without running the Worker
+  // destructors, so the fork hook must take those workers off the count.
+  RuntimeConfig cfg;
+  cfg.num_threads = 3;
+  Runtime rt(cfg);
+  Runtime::make_current(&rt);
+  rt.fork(&noop_microtask, nullptr, 3);
+  rt.quiesce();
+  ASSERT_EQ(rt.pool_size(), 2);
+  const int base = orca::managed_thread_count().load() - rt.pool_size();
+
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // 1: the parent's pool is gone and no longer counted.
+    if (rt.pool_size() != 0 || orca::managed_thread_count().load() != base) {
+      _exit(1);
+    }
+#if !defined(ORCA_TEST_TSAN)
+    // 2: the next region rebuilds the pool, and the count follows it.
+    rt.fork(&noop_microtask, nullptr, 3);
+    rt.quiesce();
+    if (rt.pool_size() != 2 ||
+        orca::managed_thread_count().load() != base + rt.pool_size()) {
+      _exit(2);
+    }
+#endif
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "child check #" << WEXITSTATUS(status)
+                                    << " failed";
+  EXPECT_EQ(orca::managed_thread_count().load(), base + rt.pool_size());
   Runtime::make_current(nullptr);
 }
 

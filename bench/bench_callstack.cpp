@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
 
 #include "perf/psx.h"
 #include "translate/region_registry.hpp"
@@ -14,20 +15,25 @@
 
 namespace {
 
-/// Build some genuine stack depth before capturing.
-__attribute__((noinline)) std::size_t capture_at_depth(int depth) {
+/// Build some genuine stack depth, then time the captures there (the
+/// recursion itself stays outside the timed loop).
+__attribute__((noinline)) void capture_loop_at_depth(benchmark::State& state,
+                                                     int depth) {
   if (depth > 0) {
-    benchmark::ClobberMemory();
-    return capture_at_depth(depth - 1);
+    capture_loop_at_depth(state, depth - 1);
+    benchmark::ClobberMemory();  // after the call: no tail call
+    return;
   }
-  return orca::unwind::Callstack::capture().depth();
+  std::size_t frames = 0;
+  for (auto _ : state) {
+    frames = orca::unwind::Callstack::capture().depth();
+    benchmark::DoNotOptimize(frames);
+  }
+  state.SetLabel("frames=" + std::to_string(frames));
 }
 
 void BM_CallstackCapture(benchmark::State& state) {
-  const int depth = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(capture_at_depth(depth));
-  }
+  capture_loop_at_depth(state, static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_CallstackCapture)->Arg(4)->Arg(16)->Arg(48);
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "testing/fault_injection.hpp"
 
@@ -35,15 +37,15 @@ std::size_t MessageBuilder::append_record(int req, const void* payload,
     return npos;
   }
   if (terminated_) {
-    bytes_.resize(bytes_.size() - kRecordHeaderSize);
+    bytes_.shrink(bytes_.size() - kRecordHeaderSize);
     terminated_ = false;
   }
   const std::size_t offset = bytes_.size();
-  bytes_.resize(offset + total, 0);
+  bytes_.grow(offset + total);
 
   // Field-wise writes: `req` is a raw wire value that may lie outside the
   // request enum's range, so it must never pass through the enum-typed
-  // struct member. r_errcode/r_sz stay zero (OK / no reply) from resize.
+  // struct member. r_errcode/r_sz stay zero (OK / no reply) from grow().
   const int sz = static_cast<int>(total);
   std::memcpy(bytes_.data() + offset + offsetof(omp_collector_message, sz),
               &sz, sizeof(sz));
@@ -102,18 +104,18 @@ std::size_t MessageBuilder::add_resilience_stats_query() {
 void* MessageBuilder::buffer() {
   if (!terminated_) {
     const std::size_t offset = bytes_.size();
-    bytes_.resize(offset + kRecordHeaderSize, 0);  // sz == 0 terminator
+    bytes_.grow(offset + kRecordHeaderSize);  // sz == 0 terminator
     terminated_ = true;
   }
   return bytes_.data();
 }
 
-char* MessageBuilder::record_at(std::size_t index) {
-  return bytes_.data() + offsets_.at(index);
-}
-
 const char* MessageBuilder::record_at(std::size_t index) const {
-  return bytes_.data() + offsets_.at(index);
+  if (index >= offsets_.size()) {
+    throw std::out_of_range("MessageBuilder: no record " +
+                            std::to_string(index));
+  }
+  return bytes_.data() + offsets_.data()[index];
 }
 
 OMP_COLLECTORAPI_EC MessageBuilder::errcode(std::size_t index) const {
@@ -128,13 +130,16 @@ int MessageBuilder::reply_size(std::size_t index) const {
   return header.r_sz;
 }
 
-bool MessageBuilder::reply_bytes(std::size_t index, void* out,
-                                 std::size_t n) const {
+bool MessageBuilder::reply_bytes(std::size_t index, void* out, std::size_t n,
+                                 std::size_t at) const {
   omp_collector_message header{};
   const char* rec = record_at(index);
   std::memcpy(&header, rec, kRecordHeaderSize);
-  if (header.r_sz < 0 || static_cast<std::size_t>(header.r_sz) < n) return false;
-  std::memcpy(out, rec + kRecordHeaderSize, n);
+  if (header.r_sz < 0 || static_cast<std::size_t>(header.r_sz) < n ||
+      static_cast<std::size_t>(header.r_sz) - n < at) {
+    return false;
+  }
+  std::memcpy(out, rec + kRecordHeaderSize + at, n);
   return true;
 }
 

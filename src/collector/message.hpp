@@ -8,6 +8,8 @@
 /// runtime-side bounds-checked walker.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstring>
 #include <vector>
@@ -25,10 +27,59 @@ constexpr std::size_t record_size(std::size_t payload) noexcept {
   return kRecordHeaderSize + payload;
 }
 
+namespace detail {
+
+/// Element storage with room for `N` elements inline; spills to the heap
+/// (once, for good) past it. New elements are value-initialized.
+template <typename T, std::size_t N>
+class InlineVector {
+ public:
+  T* data() noexcept { return spilled_ ? heap_.data() : inline_.data(); }
+  const T* data() const noexcept {
+    return spilled_ ? heap_.data() : inline_.data();
+  }
+  std::size_t size() const noexcept { return size_; }
+
+  /// Grow to `n` elements (n >= size()).
+  void grow(std::size_t n) {
+    if (!spilled_ && n > N) {
+      heap_.assign(inline_.begin(), inline_.begin() + size_);
+      spilled_ = true;
+    }
+    if (spilled_) {
+      heap_.resize(n);
+    } else {
+      std::fill(inline_.begin() + size_, inline_.begin() + n, T{});
+    }
+    size_ = n;
+  }
+
+  /// Drop elements past the first `n` (n <= size()).
+  void shrink(std::size_t n) {
+    if (spilled_) heap_.resize(n);
+    size_ = n;
+  }
+
+  void push_back(const T& value) {
+    grow(size_ + 1);
+    data()[size_ - 1] = value;
+  }
+
+ private:
+  alignas(alignof(std::max_align_t)) std::array<T, N> inline_{};
+  std::vector<T> heap_;
+  std::size_t size_ = 0;
+  bool spilled_ = false;
+};
+
+}  // namespace detail
+
 /// Collector-side request composer. Produces a self-terminated buffer that
 /// can be handed directly to `__omp_collector_api`. Reply fields
 /// (`r_errcode`, `r_sz`, reply payload) are read back through the accessors
-/// after the call.
+/// after the call. Messages of up to `kInlineBytes` bytes and
+/// `kInlineRecords` records (every typed single query) live inside the
+/// builder, so composing one allocates nothing.
 class MessageBuilder {
  public:
   /// Returned by the add_* methods when the record cannot be appended —
@@ -36,6 +87,9 @@ class MessageBuilder {
   /// int field (or a test-injected allocation failure). The builder is
   /// left unchanged.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  static constexpr std::size_t kInlineBytes = 256;
+  static constexpr std::size_t kInlineRecords = 4;
 
   /// Append a request with an empty payload but `reply_capacity` bytes of
   /// mem[] reserved for the runtime's answer. Returns the record index,
@@ -78,28 +132,26 @@ class MessageBuilder {
   OMP_COLLECTORAPI_EC errcode(std::size_t index) const;
   int reply_size(std::size_t index) const;
 
-  /// Copy `n` bytes of reply payload from record `index` into `out`.
-  /// Returns false when the record holds fewer than `n` reply bytes.
-  bool reply_bytes(std::size_t index, void* out, std::size_t n) const;
+  /// Copy `n` bytes of reply payload, starting at byte offset `at`, from
+  /// record `index` into `out`. Returns false when the record holds fewer
+  /// than `at + n` reply bytes.
+  bool reply_bytes(std::size_t index, void* out, std::size_t n,
+                   std::size_t at = 0) const;
 
   /// Typed helper: read a single POD value from the reply payload at
   /// byte offset `at`.
   template <typename T>
   bool reply_value(std::size_t index, T* out, std::size_t at = 0) const {
-    std::vector<char> tmp(at + sizeof(T));
-    if (!reply_bytes(index, tmp.data(), tmp.size())) return false;
-    std::memcpy(out, tmp.data() + at, sizeof(T));
-    return true;
+    return reply_bytes(index, out, sizeof(T), at);
   }
 
  private:
-  char* record_at(std::size_t index);
   const char* record_at(std::size_t index) const;
   std::size_t append_record(int req, const void* payload,
                             std::size_t payload_size, std::size_t capacity);
 
-  std::vector<char> bytes_;
-  std::vector<std::size_t> offsets_;
+  detail::InlineVector<char, kInlineBytes> bytes_;
+  detail::InlineVector<std::size_t, kInlineRecords> offsets_;
   bool terminated_ = false;
 };
 

@@ -12,6 +12,32 @@
 
 namespace orca::tool {
 
+namespace {
+
+/// This thread's callback-counter slot (assigned round-robin on first use).
+std::size_t callback_slot() noexcept {
+  static std::atomic<std::size_t> next_slot{0};
+  constinit thread_local std::size_t slot = kCallbackCounterSlots;
+  if (slot == kCallbackCounterSlots) {
+    slot = next_slot.fetch_add(1, std::memory_order_relaxed) %
+           kCallbackCounterSlots;
+  }
+  return slot;
+}
+
+/// Ticks of the forks this thread has open, innermost last. FORK and JOIN
+/// of one region fire on the same thread (its master), so nested regions
+/// and MiniMPI ranks each pair correctly.
+struct ForkStack {
+  std::uint64_t generation = 0;
+  std::size_t depth = 0;  ///< may exceed kForkStackDepth; deeper ticks are lost
+  std::array<std::uint64_t, kForkStackDepth> ticks{};
+};
+
+constinit thread_local ForkStack t_forks;
+
+}  // namespace
+
 PrototypeCollector& PrototypeCollector::instance() {
   static PrototypeCollector tool;
   return tool;
@@ -23,6 +49,7 @@ void PrototypeCollector::event_callback(OMP_COLLECTORAPI_EVENT event) {
 
 void PrototypeCollector::configure(ToolOptions opts) {
   opts_ = std::move(opts);
+  fork_generation_.fetch_add(1, std::memory_order_relaxed);
   counter_ = perf::HwTimeCounter(opts_.counter);
   if (store_ == nullptr) {
     store_ = std::make_unique<perf::SampleStore>(opts_.thread_slots,
@@ -66,14 +93,43 @@ bool PrototypeCollector::resume() {
   return attached_ && client_->resume() == OMP_ERRCODE_OK;
 }
 
+std::uint64_t PrototypeCollector::callback_invocations() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& slot : callback_counts_) {
+    total += slot.value.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+void PrototypeCollector::push_fork(std::uint64_t fork_ticks) noexcept {
+  ForkStack& forks = t_forks;
+  const std::uint64_t generation =
+      fork_generation_.load(std::memory_order_relaxed);
+  if (forks.generation != generation) {
+    forks.generation = generation;
+    forks.depth = 0;
+  }
+  if (forks.depth < kForkStackDepth) forks.ticks[forks.depth] = fork_ticks;
+  ++forks.depth;
+}
+
+std::uint64_t PrototypeCollector::pop_fork() noexcept {
+  ForkStack& forks = t_forks;
+  if (forks.generation != fork_generation_.load(std::memory_order_relaxed) ||
+      forks.depth == 0) {
+    return 0;  // the fork predates reset()/configure(), or was never seen
+  }
+  --forks.depth;
+  return forks.depth < kForkStackDepth ? forks.ticks[forks.depth] : 0;
+}
+
 bool PrototypeCollector::passes_cheap_filters(std::uint64_t join_ticks) {
   // These run *before* the callstack capture: for filtered joins the tool
   // skips the capture entirely, which is where the cost lives.
   //
   // Small-region filter: compare this join against the matching fork.
   if (opts_.min_region_seconds > 0) {
-    const std::uint64_t fork_ticks =
-        last_fork_ticks_.load(std::memory_order_relaxed);
+    const std::uint64_t fork_ticks = pop_fork();
     if (fork_ticks != 0 &&
         counter_.to_seconds(join_ticks - fork_ticks) <
             opts_.min_region_seconds) {
@@ -102,7 +158,8 @@ bool PrototypeCollector::passes_dedup(const std::vector<const void*>& frames) {
 }
 
 void PrototypeCollector::on_event(OMP_COLLECTORAPI_EVENT event) {
-  callback_count_.fetch_add(1, std::memory_order_relaxed);
+  callback_counts_[callback_slot()].value.fetch_add(1,
+                                                    std::memory_order_relaxed);
   if (!opts_.measure || store_ == nullptr) return;  // communication-only arm
 
   perf::EventSample sample;
@@ -111,9 +168,10 @@ void PrototypeCollector::on_event(OMP_COLLECTORAPI_EVENT event) {
   sample.tid = __ompc_get_global_thread_num();
 
   if (event == OMP_EVENT_FORK) {
-    // Remembered for the small-region filter (fork/join both fire on the
-    // master, so a relaxed store pairs correctly with the next join).
-    last_fork_ticks_.store(sample.ticks, std::memory_order_relaxed);
+    // Remembered for the small-region filter, which pops it at the join.
+    if (opts_.record_callstacks && opts_.min_region_seconds > 0) {
+      push_fork(sample.ticks);
+    }
   } else if (event == OMP_EVENT_JOIN) {
     // Region ids are retrieved "at the join event" (paper Sec. IV); the
     // master's team is still current when JOIN fires.
@@ -158,18 +216,19 @@ perf::TraceData PrototypeCollector::trace_data() const {
 
 void PrototypeCollector::reset() {
   if (store_ != nullptr) store_->clear();
-  callback_count_.store(0, std::memory_order_relaxed);
+  for (auto& slot : callback_counts_) {
+    slot.value.store(0, std::memory_order_relaxed);
+  }
   filtered_count_.store(0, std::memory_order_relaxed);
   join_count_.store(0, std::memory_order_relaxed);
-  last_fork_ticks_.store(0, std::memory_order_relaxed);
+  fork_generation_.fetch_add(1, std::memory_order_relaxed);
   std::scoped_lock lk(contexts_mu_);
   seen_contexts_.clear();
 }
 
 Report PrototypeCollector::finalize() const {
   Report report;
-  report.callback_invocations =
-      callback_count_.load(std::memory_order_relaxed);
+  report.callback_invocations = callback_invocations();
   if (store_ == nullptr) return report;
 
   const std::vector<perf::EventSample> samples = store_->merged_samples();

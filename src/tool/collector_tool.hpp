@@ -17,6 +17,7 @@
 /// offline finalize step that reconstructs the user-model profile.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "collector/api.h"
+#include "common/cacheline.hpp"
 #include "common/spinlock.hpp"
 #include "perf/counter.hpp"
 #include "perf/samples.hpp"
@@ -126,6 +128,14 @@ struct Report {
   std::string render() const;
 };
 
+/// Callback-counter slots: each thread counts into its own cache line
+/// (threads beyond this many share slots, still atomically).
+inline constexpr std::size_t kCallbackCounterSlots = 64;
+
+/// Nesting depth the small-region filter tracks per thread; joins of
+/// regions nested deeper are never filtered.
+inline constexpr std::size_t kForkStackDepth = 8;
+
 /// The prototype collector. Singleton because ORA callbacks are plain
 /// function pointers (one tool per process, like an LD_PRELOAD object).
 class PrototypeCollector {
@@ -170,9 +180,8 @@ class PrototypeCollector {
   /// Drop all collected data (between experiment arms).
   void reset();
 
-  std::uint64_t callback_invocations() const noexcept {
-    return callback_count_.load(std::memory_order_relaxed);
-  }
+  /// Callbacks entered so far (counted independently of stored samples).
+  std::uint64_t callback_invocations() const noexcept;
 
   /// Join callstacks skipped by the selective-collection filters.
   std::uint64_t callstacks_filtered() const noexcept {
@@ -185,6 +194,11 @@ class PrototypeCollector {
   static void event_callback(OMP_COLLECTORAPI_EVENT event);
   void on_event(OMP_COLLECTORAPI_EVENT event);
 
+  /// Small-region filter bookkeeping: remember a fork on this thread's
+  /// fork stack / pop the fork a join closes (0 = unknown).
+  void push_fork(std::uint64_t fork_ticks) noexcept;
+  std::uint64_t pop_fork() noexcept;
+
   /// Pre-capture filters (small-region, sampling): false = skip even the
   /// callstack capture. Updates the sampling counter.
   bool passes_cheap_filters(std::uint64_t join_ticks);
@@ -192,14 +206,21 @@ class PrototypeCollector {
   /// Post-capture filter: calling-context dedup over the frame hash.
   bool passes_dedup(const std::vector<const void*>& frames);
 
-  ToolOptions opts_;
+  // Read by every callback, written only by configure()/attach()/reset():
+  // on lines of their own, so no callback write ever invalidates them.
+  alignas(kCacheLineSize) ToolOptions opts_;
   std::optional<collector::Client> client_;
   std::unique_ptr<perf::SampleStore> store_;
   perf::HwTimeCounter counter_;
-  std::atomic<std::uint64_t> callback_count_{0};
-  std::atomic<std::uint64_t> filtered_count_{0};
+  /// Bumped by configure()/reset(): fork stacks of older generations are
+  /// stale and start over.
+  std::atomic<std::uint64_t> fork_generation_{1};
+
+  // Written by callbacks.
+  std::array<CachePadded<std::atomic<std::uint64_t>>, kCallbackCounterSlots>
+      callback_counts_{};
+  alignas(kCacheLineSize) std::atomic<std::uint64_t> filtered_count_{0};
   std::atomic<std::uint64_t> join_count_{0};
-  std::atomic<std::uint64_t> last_fork_ticks_{0};
   SpinLock contexts_mu_;
   std::unordered_set<std::size_t> seen_contexts_;
   bool attached_ = false;

@@ -2,9 +2,31 @@
 /// composition, bounds-checked parsing, and malformed-buffer rejection.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "collector/message.hpp"
+#include "tool/client2.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+// Count every heap allocation in this binary (the allocation-free query
+// test below reads the counter around one call). Replacement allocation
+// functions pair malloc with free, which GCC cannot see through.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -149,6 +171,48 @@ TEST(MessageBuilder, RecordsAreAligned) {
   // for pointer-bearing payloads.
   EXPECT_EQ(static_cast<std::size_t>(cursor.record()->sz) % alignof(void*),
             0u);
+}
+
+/// A runtime stand-in that answers region-id queries with id 42.
+int answer_id_queries(void* buffer) {
+  MessageCursor cursor(buffer);
+  for (; !cursor.at_terminator(); cursor.advance()) {
+    if (!cursor.valid()) return -1;
+    const unsigned long id = 42;
+    cursor.write_reply(&id, sizeof(id));
+  }
+  return 0;
+}
+
+TEST(MessageBuilder, IdQueryAllocatesNothing) {
+  // The tool sends one region-id query per join: composing the message,
+  // the round trip, and reading the reply must stay off the heap.
+  const Client client(&answer_id_queries);
+  ASSERT_EQ(client.current_prid().value_or(0), 42ul);  // warm
+  const std::uint64_t before = g_allocations.load();
+  const Expected<unsigned long> id = client.current_prid();
+  const std::uint64_t after = g_allocations.load();
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(*id, 42ul);
+  EXPECT_EQ(after - before, 0u);
+}
+
+TEST(MessageBuilder, LargeMessagesSpillAndStayIntact) {
+  // Past the inline capacity the builder moves to the heap; every record
+  // written before and after the spill must survive it.
+  MessageBuilder builder;
+  constexpr int kRecords = 40;
+  for (int i = 0; i < kRecords; ++i) builder.add_unregister(i);
+  ASSERT_EQ(builder.count(), static_cast<std::size_t>(kRecords));
+  MessageCursor cursor(builder.buffer());
+  for (int i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(cursor.valid()) << i;
+    int event = -1;
+    ASSERT_TRUE(cursor.read_payload(&event, sizeof(event)));
+    EXPECT_EQ(event, i);
+    cursor.advance();
+  }
+  EXPECT_TRUE(cursor.at_terminator());
 }
 
 }  // namespace

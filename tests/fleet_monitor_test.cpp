@@ -21,6 +21,7 @@
 
 #include "runtime/runtime.hpp"
 #include "shm/exporter.hpp"
+#include "shm/reader.hpp"
 #include "tool/orcamon/fleet_monitor.hpp"
 
 namespace {
@@ -105,6 +106,25 @@ TEST(FleetMonitor, ThreeProducersOneKilledMidRun) {
   }
   ASSERT_EQ(monitor.attached_count(), 3u);
   ASSERT_GE(monitor.events_seen(), 200u);
+
+  // The salvage checks below need the victim's first heartbeat snapshot;
+  // on one core the victim can get here before its heartbeat has run.
+  bool victim_has_snapshot = false;
+  while (!victim_has_snapshot &&
+         std::chrono::steady_clock::now() < deadline) {
+    for (const orca::shm::SegmentName& seg :
+         orca::shm::discover_segments(prefix)) {
+      if (seg.pid != static_cast<std::int64_t>(victim)) continue;
+      const auto reader = orca::shm::SegmentReader::attach(seg.name);
+      victim_has_snapshot = reader != nullptr &&
+                            reader->salvage_crash().kind ==
+                                orca::shm::kCrashSnapshot;
+    }
+    if (!victim_has_snapshot) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  ASSERT_TRUE(victim_has_snapshot);
 
   ASSERT_EQ(::kill(victim, SIGKILL), 0);
 

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <thread>
 
+#include "runtime/ompc_api.h"
 #include "runtime/runtime.hpp"
 #include "tool/collector_tool.hpp"
 #include "translate/omp.hpp"
@@ -96,6 +97,34 @@ TEST(Filtering, MinRegionDurationSkipsSmallRegions) {
   const auto data = tool.trace_data();
   EXPECT_EQ(data.callstacks.size(), 2u);
   EXPECT_EQ(tool.callstacks_filtered(), 10u);
+  Runtime::make_current(nullptr);
+}
+
+TEST(Filtering, MinRegionDurationPairsEachJoinWithItsOwnFork) {
+  // A tiny nested region forked at the end of a long outer region: the
+  // outer join must be measured from the outer fork, not from the nested
+  // fork that fired last.
+  RuntimeConfig cfg = two_threads();
+  cfg.nested = true;
+  Runtime rt(cfg);
+  Runtime::make_current(&rt);
+  auto& tool = PrototypeCollector::instance();
+  tool.reset();
+  ToolOptions opts;
+  opts.min_region_seconds = 20e-3;
+  ASSERT_TRUE(tool.attach(opts));
+
+  orca::omp::parallel([](int) {
+    if (omp_get_thread_num() != 0) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    orca::omp::parallel([](int) {}, 2);
+  }, 2);
+  rt.quiesce();
+  tool.detach();
+
+  const auto data = tool.trace_data();
+  EXPECT_EQ(data.callstacks.size(), 1u);
+  EXPECT_EQ(tool.callstacks_filtered(), 1u);
   Runtime::make_current(nullptr);
 }
 

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/cacheline.hpp"
@@ -143,6 +144,16 @@ class SampleStore {
 
   /// All callstack records, merged, ordered by tick.
   std::vector<CallstackRecord> merged_callstacks() const;
+
+  /// Calls `fn(const CallstackRecord&)` on every callstack record in
+  /// place, slot by slot (not in tick order), under each slot's lock.
+  template <typename Fn>
+  void for_each_callstack(Fn&& fn) const {
+    for (const auto& slot : callstack_slots_) {
+      std::scoped_lock lk(slot->mu);
+      for (const CallstackRecord& rec : slot->records) fn(rec);
+    }
+  }
 
   std::uint64_t total_samples() const noexcept;
   std::uint64_t total_dropped() const noexcept;

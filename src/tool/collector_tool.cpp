@@ -226,15 +226,10 @@ void PrototypeCollector::reset() {
   seen_contexts_.clear();
 }
 
-Report PrototypeCollector::finalize() const {
+Report analyze_samples(std::span<const perf::EventSample> samples,
+                       const perf::HwTimeCounter& counter) {
   Report report;
-  report.callback_invocations = callback_invocations();
-  if (store_ == nullptr) return report;
-
-  const std::vector<perf::EventSample> samples = store_->merged_samples();
   report.total_events = samples.size();
-  report.dropped_samples = store_->total_dropped();
-
   for (const perf::EventSample& s : samples) {
     ++report.event_counts[s.event];
   }
@@ -249,9 +244,11 @@ Report PrototypeCollector::finalize() const {
     if (s.event == OMP_EVENT_FORK) {
       open_fork_ticks = s.ticks;
       fork_open = true;
-    } else if (s.event == OMP_EVENT_JOIN && fork_open) {
+    } else if (s.event == OMP_EVENT_JOIN && !fork_open) {
+      ++report.unpaired_joins;
+    } else if (s.event == OMP_EVENT_JOIN) {
       fork_open = false;
-      const double seconds = counter_.to_seconds(s.ticks - open_fork_ticks);
+      const double seconds = counter.to_seconds(s.ticks - open_fork_ticks);
       RegionStats& r = regions[s.region_id];
       if (r.invocations == 0) {
         r.region_id = s.region_id;
@@ -274,6 +271,13 @@ Report PrototypeCollector::finalize() const {
   // Interval metrics: pair each thread's begin/end events and aggregate
   // time-in-construct (the "OpenMP specific performance metrics" of
   // Sec. VI — implicit/explicit barrier time, lock wait time, ...).
+  // begin_of[end] is the begin kind an end event closes (0 = none).
+  std::array<int, ORCA_EVENT_EXT_LAST> begin_of{};
+  for (int b = ORCA_EVENT_EXT_LAST - 1; b >= 1; --b) {
+    const OMP_COLLECTORAPI_EVENT end =
+        collector::matching_end(static_cast<OMP_COLLECTORAPI_EVENT>(b));
+    if (end != OMP_EVENT_LAST) begin_of[end] = b;  // lowest begin wins
+  }
   std::map<std::pair<int, int>, std::uint64_t> open_begin;  // (tid,ev)->tick
   std::map<std::pair<int, int>, IntervalStats> interval_acc;
   for (const perf::EventSample& s : samples) {
@@ -283,41 +287,46 @@ Report PrototypeCollector::finalize() const {
       open_begin[{s.tid, s.event}] = s.ticks;
       continue;
     }
-    // Find the begin kind this end closes.
-    for (int b = 1; b < ORCA_EVENT_EXT_LAST; ++b) {
-      const auto begin = static_cast<OMP_COLLECTORAPI_EVENT>(b);
-      if (collector::matching_end(begin) != event) continue;
-      const auto it = open_begin.find({s.tid, b});
-      if (it == open_begin.end()) break;  // unpaired end (attached mid-run)
-      IntervalStats& acc = interval_acc[{b, s.tid}];
-      acc.begin_event = b;
-      acc.tid = s.tid;
-      ++acc.intervals;
-      acc.total_seconds += counter_.to_seconds(s.ticks - it->second);
-      open_begin.erase(it);
-      break;
-    }
+    if (s.event <= 0 || s.event >= ORCA_EVENT_EXT_LAST) continue;
+    const int b = begin_of[s.event];
+    if (b == 0) continue;
+    const auto it = open_begin.find({s.tid, b});
+    if (it == open_begin.end()) continue;  // unpaired end (attached mid-run)
+    IntervalStats& acc = interval_acc[{b, s.tid}];
+    acc.begin_event = b;
+    acc.tid = s.tid;
+    ++acc.intervals;
+    acc.total_seconds += counter.to_seconds(s.ticks - it->second);
+    open_begin.erase(it);
   }
   report.intervals.reserve(interval_acc.size());
   for (const auto& [key, acc] : interval_acc) report.intervals.push_back(acc);
+  return report;
+}
 
-  // User-model callstack profile: reconstruct each join-time stack and
-  // aggregate identical user views (the PerfSuite-extension workflow of
-  // Sec. IV-F).
-  std::map<std::string, std::uint64_t> profile;
-  for (const perf::CallstackRecord& rec : store_->merged_callstacks()) {
-    const unwind::UserCallstack user =
-        unwind::reconstruct(rec.frames, rec.region_fn);
-    ++profile[user.render()];
+Report PrototypeCollector::finalize() const {
+  if (store_ == nullptr) {
+    Report report;
+    report.callback_invocations = callback_invocations();
+    return report;
   }
-  report.callstack_profile.reserve(profile.size());
-  for (const auto& [rendered, count] : profile) {
-    report.callstack_profile.push_back({rendered, count});
-  }
-  std::sort(report.callstack_profile.begin(), report.callstack_profile.end(),
-            [](const CallstackProfileEntry& a, const CallstackProfileEntry& b) {
-              return a.samples > b.samples;
-            });
+  // Named, so the merged samples outlive the profile below. Freed early,
+  // they leave a large free block at the top of the heap that malloc
+  // returns to the OS, and the next trace_data() faults its buffers back
+  // in (sp_mz flush_ms +30 %).
+  const std::vector<perf::EventSample> samples = store_->merged_samples();
+  Report report = analyze_samples(samples, counter_);
+  report.callback_invocations = callback_invocations();
+  report.dropped_samples = store_->total_dropped();
+
+  // User-model callstack profile (the PerfSuite-extension workflow of
+  // Sec. IV-F): count the join records by raw stack in place, then
+  // reconstruct each distinct stack once.
+  unwind::ProfileBuilder profile;
+  store_->for_each_callstack([&profile](const perf::CallstackRecord& rec) {
+    profile.add(rec.region_fn, rec.frames);
+  });
+  report.callstack_profile = profile.build();
   return report;
 }
 
@@ -360,6 +369,10 @@ std::string Report::render() const {
   out += strfmt("\nparallel regions (master fork->join), %zu of %zu shown:\n",
                 by_cost.size(), regions.size()) +
          regions_table.render();
+  if (unpaired_joins != 0) {
+    out += strfmt("unpaired joins: %llu (no open fork on tid 0)\n",
+                  static_cast<unsigned long long>(unpaired_joins));
+  }
 
   if (!intervals.empty()) {
     TextTable interval_table({"construct", "tid", "intervals", "total s"});

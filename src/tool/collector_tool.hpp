@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -33,6 +34,7 @@
 #include "perf/samples.hpp"
 #include "perf/trace.hpp"
 #include "tool/client2.hpp"
+#include "unwind/user_model.hpp"
 
 namespace orca::tool {
 
@@ -99,10 +101,7 @@ struct RegionStats {
 };
 
 /// One line of the user-model callstack profile.
-struct CallstackProfileEntry {
-  std::string rendered;       ///< reconstructed user-model stack
-  std::uint64_t samples = 0;  ///< join events observed with this stack
-};
+using CallstackProfileEntry = unwind::ProfileEntry;
 
 /// Aggregated time spent between one begin/end event pair ("OpenMP
 /// specific performance metrics", paper Sec. VI): e.g. total implicit-
@@ -121,12 +120,22 @@ struct Report {
   std::uint64_t callback_invocations = 0;
   std::map<int, std::uint64_t> event_counts;        ///< event -> count
   std::vector<RegionStats> regions;                 ///< by region id
+  /// JOINs on tid 0 that found no open FORK. MiniMPI rank masters all
+  /// carry gtid 0, so interleaved ranks pair a join with the other rank's
+  /// fork and leave one join unpaired per overwritten fork.
+  std::uint64_t unpaired_joins = 0;
+  /// By samples descending, then rendered text ascending.
   std::vector<CallstackProfileEntry> callstack_profile;
   std::vector<IntervalStats> intervals;             ///< per (event, tid)
 
   /// Human-readable rendering (tables for events, regions, callstacks).
   std::string render() const;
 };
+
+/// The sample-driven part of the offline phase over tick-ordered samples:
+/// total_events, event_counts, regions, unpaired_joins and intervals.
+Report analyze_samples(std::span<const perf::EventSample> samples,
+                       const perf::HwTimeCounter& counter);
 
 /// Callback-counter slots: each thread counts into its own cache line
 /// (threads beyond this many share slots, still atomically).

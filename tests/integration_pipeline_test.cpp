@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <map>
+#include <string>
 
 #include "npb/kernels.hpp"
 #include "npb/multizone.hpp"
@@ -66,6 +67,20 @@ TEST(Pipeline, CollectorSeesExactlyTable1ForkEvents) {
   }
   EXPECT_EQ(profiled, 1014u);
   EXPECT_EQ(report.callstack_profile.size(), 12u);
+
+  // Reconstructing each distinct stack once gives the per-record profile,
+  // byte for byte.
+  std::map<std::string, std::uint64_t> per_record;
+  for (const auto& rec : tool.trace_data().callstacks) {
+    ++per_record[orca::unwind::reconstruct(rec.frames, rec.region_fn)
+                     .render()];
+  }
+  ASSERT_EQ(per_record.size(), report.callstack_profile.size());
+  for (const auto& entry : report.callstack_profile) {
+    const auto it = per_record.find(entry.rendered);
+    ASSERT_NE(it, per_record.end()) << entry.rendered;
+    EXPECT_EQ(it->second, entry.samples) << entry.rendered;
+  }
   Runtime::make_current(nullptr);
 }
 
@@ -139,6 +154,13 @@ TEST(Pipeline, MzPerRankCollectorsObserveAllRegions) {
   for (const auto& s : data.samples) ++counts[s.event];
   EXPECT_EQ(counts[OMP_EVENT_FORK], result.total_calls);
   EXPECT_EQ(counts[OMP_EVENT_JOIN], result.total_calls);
+
+  // Both rank masters are gtid 0: the report pairs each join with the
+  // last fork on tid 0 and counts the joins left without one.
+  const auto report = tool.finalize();
+  std::uint64_t paired = 0;
+  for (const auto& region : report.regions) paired += region.invocations;
+  EXPECT_EQ(paired + report.unpaired_joins, result.total_calls);
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 #include <execinfo.h>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <csignal>
 #include <cstdlib>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -414,6 +417,121 @@ TEST(UserModel, EmptyInput) {
   const UserCallstack user = reconstruct({}, nullptr);
   EXPECT_TRUE(user.frames.empty());
   EXPECT_TRUE(user.render().empty());
+}
+
+struct RawRecord {
+  const void* region_fn;
+  std::vector<const void*> frames;
+};
+
+/// The per-record profile: reconstruct and render every record, count by
+/// text, order by samples descending then text ascending.
+std::vector<ProfileEntry> naive_profile(const std::vector<RawRecord>& records) {
+  std::map<std::string, std::uint64_t> by_text;
+  for (const RawRecord& rec : records) {
+    ++by_text[reconstruct(rec.frames, rec.region_fn).render()];
+  }
+  std::vector<ProfileEntry> out;
+  for (const auto& [text, samples] : by_text) out.push_back({text, samples});
+  std::stable_sort(out.begin(), out.end(),
+                   [](const ProfileEntry& a, const ProfileEntry& b) {
+                     return a.samples > b.samples;
+                   });
+  return out;
+}
+
+void expect_same_profile(const std::vector<ProfileEntry>& got,
+                         const std::vector<ProfileEntry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].rendered, want[i].rendered) << "entry " << i;
+    EXPECT_EQ(got[i].samples, want[i].samples) << "entry " << i;
+  }
+}
+
+TEST(UserModel, AggregateFirstProfileEqualsPerRecordProfile) {
+  static const int region_a = 0;
+  static const int region_b = 0;
+  auto& registry = orca::translate::RegionRegistry::instance();
+  registry.add(&region_a, {"solve_a", "profile_a.cpp", 11, "parallel for"});
+  registry.add(&region_b, {"solve_b", "profile_b.cpp", 22, "parallel"});
+
+  const void* user1 = reinterpret_cast<const void*>(&std::strtol);
+  const void* user2 = reinterpret_cast<const void*>(&std::strtod);
+  const void* rt1 = reinterpret_cast<const void*>(&orca::rt::Runtime::global);
+  const void* rt2 =
+      reinterpret_cast<const void*>(&orca::rt::Runtime::make_current);
+
+  const std::vector<RawRecord> records = {
+      // Repeated stacks.
+      {&region_a, {rt1, user1, user2}},
+      {&region_a, {rt1, user1, user2}},
+      {&region_a, {rt1, user1, user2}},
+      // Differs from the above only in runtime frames: same entry.
+      {&region_a, {rt2, rt1, user1, rt2, user2}},
+      {&region_a, {user1, user2}},
+      // Same frames, another region; and no region at all.
+      {&region_b, {rt1, user1, user2}},
+      {nullptr, {rt1, user1, user2}},
+      {nullptr, {rt1, user1, user2}},
+      {nullptr, {user2, user1}},
+      // Empty frame lists, with and without a region.
+      {nullptr, {}},
+      {&region_b, {}},
+      {&region_b, {}},
+  };
+
+  ProfileBuilder builder;
+  std::set<const void*> addresses;
+  for (const RawRecord& rec : records) {
+    builder.add(rec.region_fn, rec.frames);
+    if (rec.region_fn != nullptr) addresses.insert(rec.region_fn);
+    addresses.insert(rec.frames.begin(), rec.frames.end());
+  }
+
+  SymbolMemo memo;
+  const std::vector<ProfileEntry> profile = builder.build(memo);
+  expect_same_profile(profile, naive_profile(records));
+  // Eight raw keys, six user views: the runtime-frame variants merged.
+  ASSERT_EQ(profile.size(), 6u);
+  EXPECT_EQ(profile[0].samples, 5u);
+  // Every distinct address was symbolized exactly once.
+  EXPECT_EQ(memo.lookups(), addresses.size());
+  (void)builder.build(memo);
+  EXPECT_EQ(memo.lookups(), addresses.size());
+}
+
+TEST(UserModel, ProfileTiesPastSixteenEntriesSortByText) {
+  // More entries than std::sort insertion-sorts outright (16), most of
+  // them tied: ties must still come out in text order.
+  constexpr int kContexts = 40;
+  static const std::array<int, kContexts> anchors{};
+  auto& registry = orca::translate::RegionRegistry::instance();
+  std::vector<RawRecord> records;
+  for (int i = 0; i < kContexts; ++i) {
+    // Register in one order, add in another, so neither address nor
+    // insertion order matches text order.
+    const int line = 100 + (i * 17) % kContexts;
+    registry.add(&anchors[i], {"tie_fn", "ties.cpp",
+                               static_cast<unsigned>(line), "parallel"});
+    const int copies = (i % 7 == 0) ? 3 : 2;
+    for (int c = 0; c < copies; ++c) records.push_back({&anchors[i], {}});
+  }
+  ProfileBuilder builder;
+  for (auto it = records.rbegin(); it != records.rend(); ++it) {
+    builder.add(it->region_fn, it->frames);
+  }
+  const std::vector<ProfileEntry> profile = builder.build();
+  ASSERT_EQ(profile.size(), static_cast<std::size_t>(kContexts));
+  for (std::size_t i = 1; i < profile.size(); ++i) {
+    const ProfileEntry& a = profile[i - 1];
+    const ProfileEntry& b = profile[i];
+    EXPECT_TRUE(a.samples > b.samples ||
+                (a.samples == b.samples && a.rendered < b.rendered))
+        << "entries " << i - 1 << " and " << i << ":\n"
+        << a.rendered << b.rendered;
+  }
+  expect_same_profile(profile, naive_profile(records));
 }
 
 }  // namespace

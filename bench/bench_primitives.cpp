@@ -4,10 +4,11 @@
 /// hot loops those numbers decompose into):
 ///
 ///  * barrier round-trip — one arrive..release episode through
-///    `Runtime::explicit_barrier`, swept over barrier algorithm
-///    (ORCA_BARRIER=centralized|dissemination|tree) × thread count. The
-///    master times batches of `--inner` crossings; since a barrier holds
-///    the team in lockstep, its per-batch time is the team round-trip.
+///    `Runtime::explicit_barrier`, per thread count. Each row is labelled
+///    with the algorithm the team barrier's rule picked for that team on
+///    this host. The master times batches of `--inner` crossings; since a
+///    barrier holds the team in lockstep, its per-batch time is the team
+///    round-trip.
 ///  * fork/join round-trip — one empty `Runtime::fork` from the serial
 ///    master: wake the pool, run nothing, and meet at the join barrier.
 ///    This is the worker wake-up hop the spin-then-park wait exists for.
@@ -124,13 +125,13 @@ void emit_microtask(int, void* raw) {
 
 struct Cell {
   Summary dist;
+  BarrierKind algo = BarrierKind::kAuto;  ///< what the rule picked
 };
 
-Cell run_cell(void (*microtask)(int, void*), BarrierKind algo, int threads,
-              int reps, int inner) {
+Cell run_cell(void (*microtask)(int, void*), int threads, int reps,
+              int inner) {
   RuntimeConfig cfg;
   cfg.num_threads = threads;
-  cfg.barrier = algo;
   Runtime rt(cfg);
   Runtime::make_current(&rt);
 
@@ -148,6 +149,7 @@ Cell run_cell(void (*microtask)(int, void*), BarrierKind algo, int threads,
 
   Cell cell;
   cell.dist = orca::bench::summarize(frame.samples);
+  cell.algo = rt.barrier_kind();
   return cell;
 }
 
@@ -175,6 +177,7 @@ Cell run_fork_join(int threads, int reps, int inner) {
 
   Cell cell;
   cell.dist = orca::bench::summarize(samples);
+  cell.algo = rt.barrier_kind();
   return cell;
 }
 
@@ -200,18 +203,15 @@ void print_row(orca::TextTable& table, const char* primitive,
 
 int main(int argc, char** argv) {
   const bool smoke = orca::bench::has_flag(argc, argv, "smoke");
-  // Batch counts sized for the worst cell (oversubscribed dissemination on
-  // a small host): every barrier crossing can cost scheduling quanta.
+  // Batch counts sized for the worst cell (an oversubscribed team on a
+  // small host): every barrier crossing can cost scheduling quanta.
   const int reps = orca::bench::flag_int(argc, argv, "reps", smoke ? 8 : 20);
   const int barrier_inner =
       orca::bench::flag_int(argc, argv, "inner", smoke ? 30 : 100);
   const int op_inner = smoke ? 2000 : 20000;
 
   const std::vector<int> thread_counts =
-      smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4};
-  const BarrierKind algos[] = {BarrierKind::kCentralized,
-                               BarrierKind::kDissemination,
-                               BarrierKind::kTree};
+      smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 3, 4};
 
   std::printf("Synchronization primitives: ns/op, %d batches "
               "(barrier inner=%d, lock/emit inner=%d)%s\n\n",
@@ -219,29 +219,25 @@ int main(int argc, char** argv) {
   orca::TextTable table(
       {"primitive", "algo", "threads", "mean ns", "p50 ns", "p99 ns"});
 
-  for (const BarrierKind algo : algos) {
-    for (const int threads : thread_counts) {
-      const Cell cell =
-          run_cell(&barrier_microtask, algo, threads, reps, barrier_inner);
-      print_row(table, "barrier", orca::rt::barrier_kind_name(algo), threads,
-                reps, barrier_inner, cell.dist);
-    }
+  for (const int threads : thread_counts) {
+    const Cell cell =
+        run_cell(&barrier_microtask, threads, reps, barrier_inner);
+    print_row(table, "barrier", orca::rt::barrier_kind_name(cell.algo),
+              threads, reps, barrier_inner, cell.dist);
   }
   for (const int threads : thread_counts) {
     const Cell cell = run_fork_join(threads, reps, barrier_inner);
-    print_row(table, "fork_join",
-              orca::rt::barrier_kind_name(BarrierKind::kCentralized), threads,
-              reps, barrier_inner, cell.dist);
+    print_row(table, "fork_join", orca::rt::barrier_kind_name(cell.algo),
+              threads, reps, barrier_inner, cell.dist);
   }
   for (const int threads : thread_counts) {
-    const Cell cell = run_cell(&spinlock_microtask, BarrierKind::kCentralized,
-                               threads, reps, op_inner);
+    const Cell cell =
+        run_cell(&spinlock_microtask, threads, reps, op_inner);
     print_row(table, "spinlock_acquire", "none", threads, reps, op_inner,
               cell.dist);
   }
   for (const int threads : thread_counts) {
-    const Cell cell = run_cell(&emit_microtask, BarrierKind::kCentralized,
-                               threads, reps, op_inner);
+    const Cell cell = run_cell(&emit_microtask, threads, reps, op_inner);
     print_row(table, "disarmed_emit", "none", threads, reps, op_inner,
               cell.dist);
   }

@@ -28,8 +28,10 @@
 # run leaves a perf paper trail to diff across commits:
 #   BENCH_event_path.json          — bench_event_path --smoke rows
 #   BENCH_primitives.json          — bench_primitives --smoke rows
-#                                    (barrier algos × threads, spinlock,
-#                                    disarmed emit)
+#                                    (barrier and fork/join × threads,
+#                                    labelled with the algorithm the
+#                                    rule picked; spinlock, disarmed
+#                                    emit)
 #   BENCH_pipeline.json            — bench_pipeline --smoke rows
 #                                    (events/s vs stage chain depth)
 #   BENCH_shm.json                 — bench_shm_drain --smoke rows

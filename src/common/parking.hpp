@@ -5,6 +5,8 @@
 /// regions" (paper Sec. IV-C1). `Parker` is the piece that implements that
 /// sleep, and the centralized team barrier waits on one too: both are "wait
 /// until an epoch word moves past `seen`", woken by whoever advances it.
+/// The dissemination barrier's inbox wait shares the spin half
+/// (`spin_until`).
 ///
 /// A futex sleep and wake costs tens of microseconds, more than the gap
 /// between one region's join and the next fork, so `wait()` first spins
@@ -67,6 +69,38 @@ inline std::chrono::microseconds park_spin_budget(int managed_threads,
                                  : std::chrono::microseconds{0};
 }
 
+/// The short PAUSE window: true as soon as `ready()` holds.
+template <typename Ready>
+bool spin_window(Ready ready) noexcept {
+  for (int i = 0; i < kSpinBeforeYield; ++i) {
+    if (ready()) return true;
+    cpu_relax();
+  }
+  return false;
+}
+
+/// Spin until `ready()` holds: the short PAUSE window, then (throttle
+/// permitting) up to `kParkSpinBudget` of PAUSE batches with a yield and a
+/// clock read between them. False means the budget ran out and the caller
+/// should sleep.
+template <typename Ready>
+bool spin_until(Ready ready) noexcept {
+  if (spin_window(ready)) return true;
+  const auto budget = park_spin_budget(
+      managed_thread_count().load(std::memory_order_relaxed), affinity_cpus());
+  if (budget.count() == 0) return false;
+  const auto deadline = std::chrono::steady_clock::now() + budget;
+  do {
+    std::this_thread::yield();
+    if (spin_window(ready)) return true;
+  } while (std::chrono::steady_clock::now() < deadline);
+  return false;
+}
+
+namespace testing {
+struct WaitStatePeer;  ///< test-only access to a wait's lock
+}  // namespace testing
+
 /// Who `Parker::advance` wakes when a waiter is parked.
 enum class Wake { kOne, kAll };
 
@@ -82,12 +116,11 @@ class Parker {
     return epoch_.load(std::memory_order_acquire);
   }
 
-  /// Block until `epoch() > seen`: the short PAUSE window, then (throttle
-  /// permitting) up to `kParkSpinBudget` of PAUSE batches with a yield and
-  /// a clock read between them, then the condvar sleep. Back-to-back
-  /// parallel regions and barriers then never enter the kernel.
+  /// Block until `epoch() > seen`: `spin_until`, then the condvar sleep.
+  /// Back-to-back parallel regions and barriers then never enter the
+  /// kernel.
   void wait(std::uint64_t seen) {
-    if (spin_short(seen) || spin_budget(seen)) return;
+    if (spin_until([&] { return advanced(seen); })) return;
     std::unique_lock<std::mutex> lk(mu_);
     cv_.wait(lk, [&] { return advanced(seen); });
   }
@@ -100,7 +133,7 @@ class Parker {
   template <typename Rep, typename Period>
   bool wait_for(std::uint64_t seen,
                 std::chrono::duration<Rep, Period> timeout) {
-    if (spin_short(seen)) return true;
+    if (spin_window([&] { return advanced(seen); })) return true;
     std::unique_lock<std::mutex> lk(mu_);
     return cv_.wait_for(lk, timeout, [&] { return advanced(seen); });
   }
@@ -121,29 +154,10 @@ class Parker {
   }
 
  private:
+  friend struct testing::WaitStatePeer;
+
   bool advanced(std::uint64_t seen) const noexcept {
     return epoch_.load(std::memory_order_acquire) > seen;
-  }
-
-  bool spin_short(std::uint64_t seen) const noexcept {
-    for (int i = 0; i < kSpinBeforeYield; ++i) {
-      if (advanced(seen)) return true;
-      cpu_relax();
-    }
-    return false;
-  }
-
-  bool spin_budget(std::uint64_t seen) const noexcept {
-    const auto budget = park_spin_budget(
-        managed_thread_count().load(std::memory_order_relaxed),
-        affinity_cpus());
-    if (budget.count() == 0) return false;
-    const auto deadline = std::chrono::steady_clock::now() + budget;
-    do {
-      std::this_thread::yield();
-      if (spin_short(seen)) return true;
-    } while (std::chrono::steady_clock::now() < deadline);
-    return false;
   }
 
   std::atomic<std::uint64_t> epoch_{0};

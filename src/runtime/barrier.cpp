@@ -1,44 +1,27 @@
 #include "runtime/barrier.hpp"
 
 #include <chrono>
+#include <memory>
 #include <thread>
 
 namespace orca::rt {
 
 const char* barrier_kind_name(BarrierKind kind) noexcept {
   switch (kind) {
+    case BarrierKind::kAuto: return "auto";
     case BarrierKind::kCentralized: return "centralized";
     case BarrierKind::kDissemination: return "dissemination";
-    case BarrierKind::kTree: return "tree";
   }
   return "?";
 }
 
 namespace {
 
-/// Flag-spin helper for the dissemination/tree algorithms: bounded busy
-/// spin, then OS yields, then short sleeps. The sleep tier matters on the
-/// oversubscribed configurations (32 threads on one core): a pure yield
-/// loop stays live but can starve the signalling thread of whole
-/// scheduling quanta, while a 50µs nap lets stragglers through without
-/// the cost of a full futex rendezvous per flag.
-class FlagWait {
- public:
-  void pause() noexcept {
-    if (waits_ < kSpinBeforeYield) {
-      cpu_relax();
-    } else if (waits_ < kSpinBeforeYield + kYieldBeforeSleep) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-    ++waits_;
-  }
+std::atomic<BarrierKind> g_pinned{BarrierKind::kAuto};
 
- private:
-  static constexpr int kYieldBeforeSleep = 512;
-  int waits_ = 0;
-};
+/// An inbox has no condvar to park on: once the spin budget is spent (or
+/// the throttle denies it), the waiter naps this long between checks.
+constexpr std::chrono::microseconds kInboxNap{50};
 
 int ceil_log2(int n) noexcept {
   int rounds = 0;
@@ -48,11 +31,44 @@ int ceil_log2(int n) noexcept {
 
 }  // namespace
 
-// --- centralized ------------------------------------------------------------
+void TeamBarrier::pin_for_testing(BarrierKind kind) noexcept {
+  g_pinned.store(kind, std::memory_order_relaxed);
+}
 
-void CentralizedBarrier::arrive_and_wait(int tid) {
-  (void)tid;  // the counter is the rendezvous; member identity is irrelevant
-  if (size_ <= 1) return;
+void TeamBarrier::init(int size) {
+  kind_ = g_pinned.load(std::memory_order_relaxed);
+  if (kind_ == BarrierKind::kAuto) {
+    kind_ = choose_barrier(
+        size, managed_thread_count().load(std::memory_order_relaxed),
+        affinity_cpus());
+  }
+  size_ = size;
+  // The generation is monotonic, so only the arrival count is reset.
+  arrived_.store(0, std::memory_order_relaxed);
+  if (kind_ != BarrierKind::kDissemination) return;
+  rounds_ = ceil_log2(size);
+  if (slots_.size() < static_cast<std::size_t>(size)) {
+    slots_ = std::vector<CachePadded<Slot>>(static_cast<std::size_t>(size));
+    return;  // freshly value-initialized: all inboxes and episodes are 0
+  }
+  // Only the slots and rounds this team uses: a later, larger team resets
+  // what it uses before its first crossing.
+  for (int t = 0; t < size; ++t) {
+    Slot& slot = *slots_[static_cast<std::size_t>(t)];
+    slot.episode = 0;
+    for (int r = 0; r < rounds_; ++r) {
+      slot.inbox[r].store(0, std::memory_order_relaxed);
+    }
+  }
+}
+
+void TeamBarrier::reset_after_fork() noexcept {
+  // Reusing the storage ends the old object's lifetime without running
+  // its destructor, which is the point.
+  std::construct_at(&generation_);
+}
+
+void TeamBarrier::centralize() {
   const std::uint64_t gen = generation_.epoch();
   if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == size_) {
     // Reset before the release: a waiter may re-arrive at the next
@@ -64,23 +80,7 @@ void CentralizedBarrier::arrive_and_wait(int tid) {
   generation_.wait(gen);
 }
 
-// --- dissemination ----------------------------------------------------------
-
-void DisseminationBarrier::init(int size) {
-  size_ = size;
-  rounds_ = ceil_log2(size);
-  if (slots_.size() < static_cast<std::size_t>(size)) {
-    slots_ = std::vector<CachePadded<Slot>>(static_cast<std::size_t>(size));
-    return;  // freshly value-initialized: all inboxes and episodes are 0
-  }
-  for (auto& slot : slots_) {
-    slot->episode = 0;
-    for (auto& inbox : slot->inbox) inbox.store(0, std::memory_order_relaxed);
-  }
-}
-
-void DisseminationBarrier::arrive_and_wait(int tid) {
-  if (size_ <= 1) return;
+void TeamBarrier::disseminate(int tid) {
   Slot& self = *slots_[static_cast<std::size_t>(tid)];
   const std::uint64_t gen = ++self.episode;
   for (int r = 0; r < rounds_; ++r) {
@@ -91,70 +91,12 @@ void DisseminationBarrier::arrive_and_wait(int tid) {
     // `>=` wait — the reuse case sense-reversal bits get wrong.
     slots_[static_cast<std::size_t>(peer)]->inbox[r].store(
         gen, std::memory_order_release);
-    FlagWait wait;
-    while (self.inbox[r].load(std::memory_order_acquire) < gen) wait.pause();
+    const auto signalled = [&self, r, gen] {
+      return self.inbox[r].load(std::memory_order_acquire) >= gen;
+    };
+    if (spin_until(signalled)) continue;
+    while (!signalled()) std::this_thread::sleep_for(kInboxNap);
   }
-}
-
-// --- tree -------------------------------------------------------------------
-
-void TreeBarrier::init(int size) {
-  size_ = size;
-  if (nodes_.size() < static_cast<std::size_t>(size)) {
-    nodes_ = std::vector<CachePadded<Node>>(static_cast<std::size_t>(size));
-  } else {
-    for (auto& node : nodes_) {
-      node->episode = 0;
-      node->arrived.store(0, std::memory_order_relaxed);
-    }
-  }
-  release_->store(0, std::memory_order_relaxed);
-}
-
-void TreeBarrier::arrive_and_wait(int tid) {
-  if (size_ <= 1) return;
-  Node& self = *nodes_[static_cast<std::size_t>(tid)];
-  const std::uint64_t gen = ++self.episode;
-
-  // Gather phase: wait for each child subtree. A child's release-store of
-  // `arrived` happens after it gathered its own children, so observing it
-  // (acquire) carries the whole subtree's pre-barrier writes upward.
-  for (int c = kFanout * tid + 1; c <= kFanout * tid + kFanout && c < size_;
-       ++c) {
-    FlagWait wait;
-    while (nodes_[static_cast<std::size_t>(c)]->arrived.load(
-               std::memory_order_acquire) < gen) {
-      wait.pause();
-    }
-  }
-
-  if (tid == 0) {
-    // Root saw every subtree: publish the release generation.
-    release_->store(gen, std::memory_order_release);
-    return;
-  }
-  self.arrived.store(gen, std::memory_order_release);
-  FlagWait wait;
-  while (release_->load(std::memory_order_acquire) < gen) wait.pause();
-}
-
-// --- facade -----------------------------------------------------------------
-
-void TeamBarrier::init(BarrierKind kind, int size) {
-  if (impl_ == nullptr || impl_->kind() != kind) {
-    switch (kind) {
-      case BarrierKind::kDissemination:
-        impl_ = std::make_unique<DisseminationBarrier>();
-        break;
-      case BarrierKind::kTree:
-        impl_ = std::make_unique<TreeBarrier>();
-        break;
-      case BarrierKind::kCentralized:
-        impl_ = std::make_unique<CentralizedBarrier>();
-        break;
-    }
-  }
-  impl_->init(size);
 }
 
 }  // namespace orca::rt

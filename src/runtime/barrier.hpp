@@ -1,39 +1,33 @@
 /// \file barrier.hpp
-/// Pluggable team-barrier algorithms.
+/// The team barrier.
 ///
-/// Every implicit/explicit barrier of every benchmark funnels through one
-/// of these, so the algorithm is on the hottest path the EPCC/NPB overhead
-/// story has (paper Sec. V measures BARRIER as its own directive). The
-/// runtime selects an algorithm per team via `ORCA_BARRIER`
-/// (`centralized` | `dissemination` | `tree`, see RuntimeConfig::barrier):
+/// Every implicit/explicit barrier of every benchmark funnels through
+/// `TeamBarrier`, so it is on the hottest path the EPCC/NPB overhead story
+/// has (paper Sec. V measures BARRIER as its own directive). It runs one of
+/// two algorithms, picked per region by `choose_barrier`:
 ///
-///  * **centralized** — the original counter barrier: one fetch_add per
-///    arrival, a generation advance by the last thread, and the runtime's
-///    spin-then-park wait (common/parking.hpp) for everyone else. O(n)
-///    contention on two cachelines. The parking throttle drops the long
-///    spin once the process has more threads than CPUs, so heavily
-///    oversubscribed teams (32 EPCC threads on few cores) sleep instead
-///    of burning the CPU the last arriver needs.
+///  * **centralized** — one fetch_add per arrival; the last arriver
+///    advances a generation `Parker` the others wait on (spin, then park on
+///    its condvar). Two hot cachelines, the cheapest rendezvous for a pair,
+///    and the only algorithm that sleeps in the kernel, which an
+///    oversubscribed team needs so the thread it waits for gets the CPU.
 ///  * **dissemination** — ceil(log2 n) rounds of pairwise signalling;
 ///    thread i signals (i + 2^r) mod n each round and waits on its own
-///    cacheline-padded inbox. No shared hot line, no serial release
-///    broadcast; the classic choice once n grows.
-///  * **tree** — a fanout-4 combining tree with cacheline-padded per-node
-///    arrival flags and a single release generation. Arrivals climb the
-///    tree (each parent spins only on its ≤4 children), the root publishes
-///    the release; O(n) total stores with constant per-line sharing.
+///    cacheline-padded inbox. No shared hot line and no serial release
+///    broadcast, so it wins once the team outgrows a pair and every member
+///    has a CPU to spin on.
 ///
-/// All three are reusable-by-generation: flags carry monotonically
-/// increasing episode numbers instead of reversing a sense bit, so a team
-/// descriptor can `init()` and re-run regions indefinitely (including
-/// shrinking/growing the team) without a rendezvous to reset state —
-/// `init()` only runs while the team is quiescent (master-side
-/// reset_for_region, after quiesce_workers).
+/// Both are reusable by generation: the centralized release and the
+/// dissemination inboxes carry monotonically increasing episode numbers
+/// instead of a sense bit, so a team descriptor can `init()` and re-run
+/// regions indefinitely (shrinking or growing the team, flipping the
+/// algorithm) without a rendezvous to reset state — `init()` only runs
+/// while the team is quiescent (master-side reset_for_region, after
+/// quiesce_workers).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/cacheline.hpp"
@@ -41,70 +35,70 @@
 
 namespace orca::rt {
 
-/// Which barrier algorithm a team uses (ORCA_BARRIER).
+/// A team-barrier algorithm, or `kAuto` for the per-region rule.
+/// `1 + kind` is what telemetry reports (0 = no region yet).
 enum class BarrierKind : int {
-  kCentralized = 0,   ///< counter + spin-then-park (the default)
+  kAuto = -1,         ///< `choose_barrier` decides per region
+  kCentralized = 0,   ///< counter + spin-then-park
   kDissemination = 1, ///< log2(n)-round pairwise signalling
-  kTree = 2,          ///< fanout-4 combining tree + release broadcast
 };
 
-/// Stable lowercase name ("centralized" | "dissemination" | "tree") used in
-/// telemetry, bench JSON rows, and warning messages.
+/// Stable lowercase name ("auto" | "centralized" | "dissemination") used
+/// in bench rows and the perfbench host line.
 const char* barrier_kind_name(BarrierKind kind) noexcept;
 
-/// One team-barrier algorithm. `init(size)` is master-only and must not
-/// race with `arrive_and_wait`; the runtime guarantees that by resetting
-/// teams only while quiescent. `arrive_and_wait(tid)` is called by team
-/// member `tid` (0 <= tid < size) — the dissemination and tree algorithms
-/// key their per-thread flag slots off it.
-class Barrier {
- public:
-  virtual ~Barrier() = default;
-  virtual void init(int size) = 0;
-  virtual void arrive_and_wait(int tid) = 0;
-  virtual BarrierKind kind() const noexcept = 0;
-};
+/// The rule: dissemination when the team has more than two members and
+/// the process's managed threads fit the CPUs of its affinity mask (the
+/// inputs `park_spin_budget` reads); centralized otherwise. A pair or an
+/// oversubscribed team keeps the centralized barrier, whose waiters park
+/// instead of spinning on an inbox. The threshold is measured in
+/// EXPERIMENTS.md "barrier algorithm sweep".
+constexpr BarrierKind choose_barrier(int team_size, int managed_threads,
+                                     int cpus) noexcept {
+  return team_size > 2 && managed_threads <= cpus ? BarrierKind::kDissemination
+                                                  : BarrierKind::kCentralized;
+}
 
-/// Centralized counter barrier (the pre-pluggable `TeamBarrier`). Waiters
-/// park on the generation `Parker`, which spins while the process fits its
-/// CPUs and sleeps on a condvar otherwise, so oversubscribed runs (32 EPCC
-/// threads on few cores) do not livelock.
-class CentralizedBarrier final : public Barrier {
+/// The barrier slot of one team descriptor. It holds the state of both
+/// algorithms, so a recycled team (the runtime's top-level team runs every
+/// region) keeps its inbox allocation when the choice flips.
+class TeamBarrier {
  public:
-  /// The generation is monotonic, so only the arrival count is reset.
-  void init(int size) noexcept override {
-    size_ = size;
-    arrived_.store(0, std::memory_order_relaxed);
+  /// Test seam: every later `init()` uses `kind` instead of the rule
+  /// (`kAuto` restores the rule), so tests reach both algorithms on any
+  /// host. No environment variable or config field reaches it.
+  static void pin_for_testing(BarrierKind kind) noexcept;
+
+  /// Master-only, team quiescent (reset_for_region): pick the algorithm
+  /// for a team of `size` and reset its arrival state.
+  void init(int size);
+
+  /// Called by team member `tid` (0 <= tid < size).
+  void arrive_and_wait(int tid) {
+    if (size_ <= 1) return;
+    if (kind_ == BarrierKind::kDissemination) {
+      disseminate(tid);
+    } else {
+      centralize();
+    }
   }
 
-  void arrive_and_wait(int tid) override;
+  /// The algorithm the last `init()` picked.
+  BarrierKind kind() const noexcept { return kind_; }
 
-  BarrierKind kind() const noexcept override {
-    return BarrierKind::kCentralized;
-  }
+  /// Atfork child handler, team quiescent. A thread that did not cross
+  /// the fork may have held the generation Parker's mutex at the snapshot
+  /// (a waiter reacquiring it on wake-up), and destroying a condvar such a
+  /// thread waited on blocks forever. So the old Parker is abandoned, not
+  /// destroyed, and a fresh one is built in its storage.
+  void reset_after_fork() noexcept;
 
  private:
-  int size_ = 1;
-  std::atomic<int> arrived_{0};
-  Parker generation_;
-};
+  friend struct orca::testing::WaitStatePeer;
 
-/// Dissemination barrier: in round r (0..rounds-1), thread i stores its
-/// episode number into the round-r inbox of thread (i + 2^r) mod n, then
-/// waits for its own round-r inbox to reach that episode. After
-/// ceil(log2 n) rounds every thread transitively synchronizes with every
-/// other. Inboxes are per-thread cacheline-padded slots, each round's
-/// inbox written by exactly one peer, so there is no shared hot line.
-class DisseminationBarrier final : public Barrier {
- public:
-  void init(int size) override;
-  void arrive_and_wait(int tid) override;
+  void centralize();
+  void disseminate(int tid);
 
-  BarrierKind kind() const noexcept override {
-    return BarrierKind::kDissemination;
-  }
-
- private:
   /// 2^16 team members is far beyond max_threads; fixing the round count
   /// keeps a slot a flat object (one padded line per thread for the hot
   /// inboxes, no per-round indirection).
@@ -115,54 +109,16 @@ class DisseminationBarrier final : public Barrier {
     std::uint64_t episode = 0;  ///< owner-thread-only barrier count
   };
 
+  BarrierKind kind_ = BarrierKind::kCentralized;
   int size_ = 1;
+
+  // centralized
+  std::atomic<int> arrived_{0};
+  Parker generation_;
+
+  // dissemination
   int rounds_ = 0;
   std::vector<CachePadded<Slot>> slots_;
-};
-
-/// Fanout-4 combining-tree barrier. Thread t's children are 4t+1..4t+4;
-/// each thread gathers its children's padded arrival flags, publishes its
-/// own, and the root then bumps one release generation every waiter spins
-/// on. Release-store/acquire-load chains up the tree and back down give
-/// the usual barrier memory semantics.
-class TreeBarrier final : public Barrier {
- public:
-  void init(int size) override;
-  void arrive_and_wait(int tid) override;
-
-  BarrierKind kind() const noexcept override { return BarrierKind::kTree; }
-
- private:
-  static constexpr int kFanout = 4;
-
-  struct Node {
-    std::atomic<std::uint64_t> arrived{0};  ///< subtree-complete episode
-    std::uint64_t episode = 0;              ///< owner-thread-only count
-  };
-
-  int size_ = 1;
-  std::vector<CachePadded<Node>> nodes_;
-  CachePadded<std::atomic<std::uint64_t>> release_;
-};
-
-/// The barrier slot of one team descriptor: owns the selected algorithm
-/// and swaps it only when the configured kind changes, so recycled teams
-/// (the runtime's top-level team runs every region) reuse the allocation.
-class TeamBarrier {
- public:
-  /// Master-only, team quiescent (reset_for_region).
-  void init(BarrierKind kind, int size);
-
-  void arrive_and_wait(int tid) {
-    if (impl_ != nullptr) impl_->arrive_and_wait(tid);
-  }
-
-  BarrierKind kind() const noexcept {
-    return impl_ != nullptr ? impl_->kind() : BarrierKind::kCentralized;
-  }
-
- private:
-  std::unique_ptr<Barrier> impl_;
 };
 
 }  // namespace orca::rt

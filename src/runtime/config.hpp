@@ -131,7 +131,7 @@ struct RuntimeConfig {
   /// crash-dump state into a named /dev/shm segment an external daemon
   /// (orcamon) can attach to (ORCA_SHM_EXPORT; docs/FLEET.md). Off by
   /// default: the disarmed hook is one acquire load per event.
-  /// Env-backed default (like `barrier`): `ORCA_SHM_EXPORT=1` must reach
+  /// Env-backed default: `ORCA_SHM_EXPORT=1` must reach
   /// every process in a fleet, including tools and benches that build
   /// `RuntimeConfig cfg;` by hand and never call from_env().
   bool shm_export = shm_export_from_env();
@@ -161,13 +161,10 @@ struct RuntimeConfig {
   /// Child-side behaviour after fork() (ORCA_FORK_MODE=disable|rearm).
   ForkMode fork_mode = ForkMode::kDisable;
 
-  /// Team-barrier algorithm (ORCA_BARRIER=centralized|dissemination|tree).
-  /// The default initializer reads the environment so *every* construction
-  /// path — `RuntimeConfig cfg;` in tests and benches as much as
-  /// `from_env()` — honours an env-injected selection (the ctest
-  /// per-algorithm instances rely on this). Unknown values warn once per
-  /// construction and keep the centralized default.
-  BarrierKind barrier = barrier_kind_from_env();
+  /// Team-barrier algorithm: always `kAuto`, the per-region rule
+  /// (`choose_barrier`). Not settable; the retired ORCA_BARRIER variable
+  /// only draws a warning from from_env().
+  static constexpr BarrierKind barrier = BarrierKind::kAuto;
 
   /// Schedule applied when a loop asks for Schedule::kRuntime.
   ScheduleSpec runtime_schedule{};
@@ -201,16 +198,6 @@ struct RuntimeConfig {
   /// case-insensitive). Returns false — leaving `mode` untouched — when
   /// the string is unrecognized, so the caller can warn and keep defaults.
   static bool parse_fork_mode(const std::string& text, ForkMode* mode);
-
-  /// Parse an ORCA_BARRIER string ("centralized" / "dissemination" /
-  /// "tree", case-insensitive). Returns false — leaving `kind` untouched —
-  /// when the string is unrecognized, so the caller can warn and keep the
-  /// centralized default.
-  static bool parse_barrier_kind(const std::string& text, BarrierKind* kind);
-
-  /// Read ORCA_BARRIER, warning and returning kCentralized on an
-  /// unrecognized value. Backs the `barrier` member's default initializer.
-  static BarrierKind barrier_kind_from_env();
 
   /// Read ORCA_SHM_EXPORT / ORCA_SHM_PREFIX for the shm members' default
   /// initializers: a fleet operator exports whole process trees by

@@ -218,8 +218,7 @@ struct TeamDescriptor {
   }
 
   void reset_for_region(unsigned long rid, unsigned long parent_rid, int n,
-                        void (*outlined)(int, void*), void* fp,
-                        BarrierKind barrier_kind = BarrierKind::kCentralized) {
+                        void (*outlined)(int, void*), void* fp) {
     region_id = rid;
     parent_region_id = parent_rid;
     parent_team = nullptr;
@@ -227,7 +226,7 @@ struct TeamDescriptor {
     is_parallel = true;
     fn = outlined;
     frame = fp;
-    barrier.init(barrier_kind, n);
+    barrier.init(n);
     single_claimed.store(0, std::memory_order_relaxed);
     ordered_next.store(0, std::memory_order_relaxed);
     loop_hwm = 0;

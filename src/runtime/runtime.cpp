@@ -123,11 +123,6 @@ Runtime::Runtime(RuntimeConfig cfg)
         (config_.telemetry_metrics ? telemetry::kMetricsBit : 0);
     telemetry::arm(telemetry_bits_);
     telemetry::name_thread("master");
-    // Surface the selected barrier algorithm in the metrics registry
-    // (1 + BarrierKind so 0 keeps meaning "never recorded").
-    telemetry::gauge_max(
-        telemetry::Gauge::kBarrierAlgorithm,
-        static_cast<std::uint64_t>(config_.barrier) + 1);
   }
   serial_master_.gtid = 0;
   serial_master_.runtime = this;
@@ -370,7 +365,8 @@ void Runtime::fork(Microtask fn, void* frame, int num_threads) {
   telemetry::record_span(telemetry::SpanKind::kParallelRegion,
                          telemetry::Phase::kBegin,
                          static_cast<std::uint32_t>(rid));
-  team_.reset_for_region(rid, 0UL, n, fn, frame, config_.barrier);
+  team_.reset_for_region(rid, 0UL, n, fn, frame);
+  note_barrier(team_.barrier.kind());
   {
     std::scoped_lock lk(regions_mu_);
     ++region_calls_[reinterpret_cast<void*>(fn)];
@@ -408,6 +404,12 @@ void Runtime::fork(Microtask fn, void* frame, int num_threads) {
   parallel_master_.publish_region_snapshot();
   tls_descriptor = prev_tls;
   serial_master_.set_state(THR_SERIAL_STATE);
+}
+
+void Runtime::note_barrier(BarrierKind kind) noexcept {
+  last_barrier_.store(kind, std::memory_order_relaxed);
+  telemetry::gauge_set(telemetry::Gauge::kBarrierAlgorithm,
+                       static_cast<std::uint64_t>(kind) + 1);
 }
 
 void Runtime::fork_serialized(ThreadDescriptor& parent, Microtask fn,
@@ -449,13 +451,18 @@ void Runtime::fork_nested(ThreadDescriptor& parent, Microtask fn, void* frame,
   event(parent, OMP_EVENT_FORK);
   telemetry::count(telemetry::Counter::kForks);
 
+  // Ephemeral slaves are managed threads too: a nested team can push the
+  // process past its CPUs, and the parking throttle and the barrier rule
+  // must see that.
+  managed_thread_count().fetch_add(n - 1, std::memory_order_relaxed);
   auto team = std::make_unique<TeamDescriptor>();
   team->runtime = this;
   const auto rid = static_cast<unsigned long>(
       next_region_id_.fetch_add(1, std::memory_order_relaxed));
   const unsigned long parent_rid =
       parent.team != nullptr ? parent.team->region_id : 0;
-  team->reset_for_region(rid, parent_rid, n, fn, frame, config_.barrier);
+  team->reset_for_region(rid, parent_rid, n, fn, frame);
+  note_barrier(team->barrier.kind());
   team->parent_team = parent.team;
   {
     std::scoped_lock lk(regions_mu_);
@@ -487,9 +494,6 @@ void Runtime::fork_nested(ThreadDescriptor& parent, Microtask fn, void* frame,
     team->members[static_cast<std::size_t>(i)] = desc.get();
     slaves.push_back(std::move(desc));
   }
-  // Ephemeral slaves are managed threads too: a nested team can push the
-  // process past its CPUs, and the parking throttle must see that.
-  managed_thread_count().fetch_add(n - 1, std::memory_order_relaxed);
   for (int i = 1; i < n; ++i) {
     ThreadDescriptor* desc = slaves[static_cast<std::size_t>(i - 1)].get();
     threads.emplace_back([this, desc] {
@@ -710,10 +714,9 @@ OMP_COLLECTORAPI_EC Runtime::provider_telemetry_snapshot(
       m.histograms[static_cast<std::size_t>(
                        telemetry::Histogram::kRetireLatencyNs)]
           .max_ns;
-  // Deterministic per this runtime's config (like the supported check
-  // above), not the cross-runtime gauge: 1 + BarrierKind.
+  // This runtime's last region, not the cross-runtime gauge.
   out->barrier_algorithm =
-      static_cast<unsigned long long>(rt.config_.barrier) + 1;
+      static_cast<unsigned long long>(rt.barrier_kind()) + 1;
   return OMP_ERRCODE_OK;
 }
 
@@ -789,6 +792,14 @@ void Runtime::resume_child_after_fork() {
   managed_thread_count().fetch_sub(static_cast<int>(workers_.size()),
                                    std::memory_order_relaxed);
   workers_.clear();
+  // The recycled team's barrier Parker is wait state of the same kind: a
+  // worker waking from the last region's barrier may have held its mutex
+  // at the snapshot, so it is replaced too, whichever algorithm ran. The
+  // team's other locks (task_mu, loop_mu, each loop buffer's init_mu, the
+  // reduction lock) are taken only inside a region, before a member
+  // arrives at the closing barrier, so a fork from outside a region never
+  // copies them held.
+  team_.barrier.reset_after_fork();
   const bool rearm = config_.fork_mode == ForkMode::kRearm;
   if (async_ != nullptr) {
     async_->reset_after_fork(rearm && registry_.initialized());

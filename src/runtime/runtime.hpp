@@ -275,6 +275,12 @@ class Runtime {
     return static_cast<int>(workers_.size());
   }
 
+  /// Barrier algorithm of this runtime's last forked region (`kAuto`
+  /// before the first). The telemetry snapshot reports 1 + this.
+  BarrierKind barrier_kind() const noexcept {
+    return last_barrier_.load(std::memory_order_relaxed);
+  }
+
   /// Number of *distinct* parallel regions (unique outlined procedures)
   /// executed so far — the static region count of the paper's Table I.
   std::size_t distinct_region_count() const;
@@ -293,6 +299,9 @@ class Runtime {
   void fork_nested(ThreadDescriptor& parent, Microtask fn, void* frame,
                    int num_threads);
   void quiesce_workers(int count);
+  /// Record a freshly reset team's algorithm for barrier_kind() and the
+  /// `barrier_algorithm` gauge.
+  void note_barrier(BarrierKind kind) noexcept;
 
   /// Scratch loop state for orphaned (outside-any-team) worksharing.
   static WorkshareLoop& serial_fallback_loop() noexcept;
@@ -353,6 +362,7 @@ class Runtime {
 
   std::vector<std::unique_ptr<Worker>> workers_;
   TeamDescriptor team_;           ///< recycled top-level team
+  std::atomic<BarrierKind> last_barrier_{BarrierKind::kAuto};
   std::atomic<std::uint64_t> next_region_id_{1};
   std::atomic<bool> master_claimed_{false};
   std::atomic<std::uint32_t> nested_gtid_counter_{0};

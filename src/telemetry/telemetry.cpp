@@ -120,6 +120,9 @@ struct Global {
   std::uint64_t retired_hist_count[kHistogramCount] = {};
   std::uint64_t retired_hist_max[kHistogramCount] = {};
   std::uint64_t retired_overwrites = 0;
+  /// Last-value gauges (gauge_set): one process-wide word each, read
+  /// without the lock.
+  std::atomic<std::uint64_t> set_gauges[kGaugeCount] = {};
 };
 
 /// Leaked on purpose: thread_local slot leases run during thread (and
@@ -228,6 +231,11 @@ void count_slow(Counter c, std::uint64_t delta) noexcept {
 void gauge_max_slow(Gauge g, std::uint64_t value) noexcept {
   ThreadSlot* s = slot();
   if (s != nullptr) s->maximize(g, value);
+}
+
+void gauge_set_slow(Gauge g, std::uint64_t value) noexcept {
+  global().set_gauges[static_cast<std::size_t>(g)].store(
+      value, std::memory_order_relaxed);
 }
 
 void observe_slow(Histogram h, std::uint64_t ns) noexcept {
@@ -375,7 +383,8 @@ MetricsView metrics() {
     view.counters[i] = g.retired_counters[i];
   }
   for (std::size_t i = 0; i < kGaugeCount; ++i) {
-    view.gauges[i] = g.retired_gauges[i];
+    view.gauges[i] = std::max(g.retired_gauges[i],
+                              g.set_gauges[i].load(std::memory_order_relaxed));
   }
   for (std::size_t i = 0; i < kHistogramCount; ++i) {
     HistogramView& h = view.histograms[i];
@@ -453,6 +462,7 @@ void reset_for_testing() {
   }
   for (std::uint64_t& c : g.retired_counters) c = 0;
   for (std::uint64_t& v : g.retired_gauges) v = 0;
+  for (auto& v : g.set_gauges) v.store(0, std::memory_order_relaxed);
   for (auto& buckets : g.retired_hist_buckets) {
     for (std::uint64_t& b : buckets) b = 0;
   }

@@ -129,12 +129,13 @@ enum class Counter : std::uint8_t {
   kCount
 };
 
-/// High-water-mark gauges (monotone max aggregated across shards).
+/// Gauges. `gauge_max` keeps a high-water mark (monotone max aggregated
+/// across shards); `gauge_set` keeps the last value set by any thread.
 enum class Gauge : std::uint8_t {
   kTaskQueueDepth = 0,  ///< deepest deferred-task queue observed
   kRingOccupancy,       ///< fullest event ring observed (records)
-  kBarrierAlgorithm,    ///< 1 + BarrierKind of the last runtime armed
-                        ///< (0 = never recorded; see ORCA_BARRIER)
+  kBarrierAlgorithm,    ///< gauge_set: 1 + BarrierKind of the last region
+                        ///< (1 centralized, 2 dissemination, 0 none yet)
   kCount
 };
 
@@ -198,6 +199,7 @@ void record_at_slow(std::uint64_t ns, SpanKind kind, Phase phase,
                     std::uint32_t arg) noexcept;
 void count_slow(Counter c, std::uint64_t delta) noexcept;
 void gauge_max_slow(Gauge g, std::uint64_t value) noexcept;
+void gauge_set_slow(Gauge g, std::uint64_t value) noexcept;
 void observe_slow(Histogram h, std::uint64_t ns) noexcept;
 }  // namespace detail
 
@@ -235,6 +237,11 @@ inline void count(Counter c, std::uint64_t delta = 1) noexcept {
 inline void gauge_max(Gauge g, std::uint64_t value) noexcept {
   if (!metrics_armed()) return;
   detail::gauge_max_slow(g, value);
+}
+
+inline void gauge_set(Gauge g, std::uint64_t value) noexcept {
+  if (!metrics_armed()) return;
+  detail::gauge_set_slow(g, value);
 }
 
 inline void observe(Histogram h, std::uint64_t ns) noexcept {

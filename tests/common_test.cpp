@@ -15,6 +15,7 @@
 #include "common/spinlock.hpp"
 #include "common/stats.hpp"
 #include "common/strutil.hpp"
+#include "runtime/barrier.hpp"
 
 namespace {
 
@@ -159,6 +160,25 @@ TEST(ParkSpinBudgetTest, ThrottlesOnceThreadsOutnumberCpus) {
   EXPECT_EQ(park_spin_budget(5, 4).count(), 0);
   EXPECT_EQ(park_spin_budget(2, 1).count(), 0);
   EXPECT_EQ(park_spin_budget(32, 4).count(), 0);
+}
+
+TEST(ParkSpinBudgetTest, BarrierRuleReadsTheSameInputs) {
+  // Dissemination only for teams of more than two whose process fits its
+  // CPUs; a pair or an oversubscribed process keeps the centralized one.
+  using rt::BarrierKind;
+  using rt::choose_barrier;
+  for (const int team : {1, 2}) {
+    EXPECT_EQ(choose_barrier(team, team, 4), BarrierKind::kCentralized);
+    EXPECT_EQ(choose_barrier(team, 8, 4), BarrierKind::kCentralized);
+  }
+  for (const int team : {3, 4}) {
+    EXPECT_EQ(choose_barrier(team, team, 4), BarrierKind::kDissemination);
+    EXPECT_EQ(choose_barrier(team, 5, 4), BarrierKind::kCentralized);
+    EXPECT_EQ(choose_barrier(team, team, 1), BarrierKind::kCentralized);
+  }
+  // Idle pool workers count too: a team of 3 in a process of 4 managed
+  // threads on 4 CPUs still fits.
+  EXPECT_EQ(choose_barrier(3, 4, 4), BarrierKind::kDissemination);
 }
 
 TEST(ParkSpinBudgetTest, HostInputsAreSane) {

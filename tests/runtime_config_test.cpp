@@ -173,97 +173,81 @@ TEST(ConfigDefaults, TelemetryOff) {
   EXPECT_GT(cfg.telemetry_ring_capacity, 0u);
 }
 
-TEST(BarrierKindParse, ParsesEveryKeyword) {
-  BarrierKind kind = BarrierKind::kTree;
-  EXPECT_TRUE(RuntimeConfig::parse_barrier_kind("centralized", &kind));
-  EXPECT_EQ(kind, BarrierKind::kCentralized);
-  EXPECT_TRUE(RuntimeConfig::parse_barrier_kind("DISSEMINATION", &kind));
-  EXPECT_EQ(kind, BarrierKind::kDissemination);
-  EXPECT_TRUE(RuntimeConfig::parse_barrier_kind("Tree", &kind));
-  EXPECT_EQ(kind, BarrierKind::kTree);
-  EXPECT_TRUE(RuntimeConfig::parse_barrier_kind("hierarchical", &kind));
-  EXPECT_EQ(kind, BarrierKind::kTree);
-}
+TEST(ConfigFromEnv, RetiredBarrierKnobChangesNothingAndWarnsOnce) {
+  using orca::rt::Runtime;
+  static_assert(RuntimeConfig::barrier == BarrierKind::kAuto);
+  EXPECT_STREQ(orca::rt::barrier_kind_name(RuntimeConfig{}.barrier), "auto");
 
-TEST(BarrierKindParse, RejectsGarbageLeavingKindUntouched) {
-  BarrierKind kind = BarrierKind::kDissemination;
-  EXPECT_FALSE(RuntimeConfig::parse_barrier_kind("bogus", &kind));
-  EXPECT_EQ(kind, BarrierKind::kDissemination);  // untouched on failure
-  EXPECT_FALSE(RuntimeConfig::parse_barrier_kind("", &kind));
-  EXPECT_FALSE(RuntimeConfig::parse_barrier_kind("tree ", &kind));
-}
-
-TEST(ConfigFromEnv, ReadsBarrierKind) {
-  const struct {
-    const char* text;
-    BarrierKind kind;
-  } cases[] = {
-      {"centralized", BarrierKind::kCentralized},
-      {"dissemination", BarrierKind::kDissemination},
-      {"tree", BarrierKind::kTree},
-  };
-  for (const auto& c : cases) {
-    ::setenv("ORCA_BARRIER", c.text, 1);
-    EXPECT_EQ(RuntimeConfig::from_env().barrier, c.kind) << c.text;
-    // The knob must also reach *default-constructed* configs — the ctest
-    // per-algorithm instances env-inject ORCA_BARRIER into tests and
-    // benches that never call from_env().
-    const RuntimeConfig defaulted;
-    EXPECT_EQ(defaulted.barrier, c.kind) << c.text;
-  }
-  ::unsetenv("ORCA_BARRIER");
-}
-
-TEST(ConfigFromEnv, WarnsAndDefaultsOnBadBarrierValue) {
-  ::setenv("ORCA_BARRIER", "hypercube", 1);
+  ::setenv("ORCA_BARRIER", "tree", 1);
   ::testing::internal::CaptureStderr();
-  const RuntimeConfig cfg;
+  const RuntimeConfig defaulted;  // only from_env() looks at the variable
+  RuntimeConfig cfg = RuntimeConfig::from_env();
   const std::string warning = ::testing::internal::GetCapturedStderr();
-  EXPECT_EQ(cfg.barrier, BarrierKind::kCentralized);
-  EXPECT_NE(warning.find("ORCA_BARRIER"), std::string::npos) << warning;
-  EXPECT_NE(warning.find("hypercube"), std::string::npos) << warning;
   ::unsetenv("ORCA_BARRIER");
+  const auto first = warning.find("ORCA_BARRIER=\"tree\"");
+  EXPECT_NE(first, std::string::npos) << warning;
+  EXPECT_EQ(warning.find("ORCA_BARRIER", first + 1), std::string::npos)
+      << "warned more than once: " << warning;
+
+  // Regions still follow the rule: a pair is centralized, and a team of
+  // three gets what choose_barrier says for this host.
+  cfg.num_threads = 2;
+  Runtime rt(cfg);
+  Runtime::make_current(&rt);
+  rt.fork([](int, void*) {}, nullptr, 2);
+  EXPECT_EQ(rt.barrier_kind(), BarrierKind::kCentralized);
+  rt.fork([](int, void*) {}, nullptr, 3);
+  EXPECT_EQ(rt.barrier_kind(),
+            orca::rt::choose_barrier(3, orca::managed_thread_count().load(),
+                                     orca::affinity_cpus()));
+  Runtime::make_current(nullptr);
 }
 
-TEST(ConfigDefaults, BarrierCentralized) {
-  ::unsetenv("ORCA_BARRIER");
-  const RuntimeConfig cfg;
-  EXPECT_EQ(cfg.barrier, BarrierKind::kCentralized);
-  EXPECT_STREQ(orca::rt::barrier_kind_name(cfg.barrier), "centralized");
-}
-
-TEST(BarrierTelemetry, SelectedAlgorithmSurfaces) {
+TEST(BarrierTelemetry, LastRegionAlgorithmSurfaces) {
   using orca::collector::MessageBuilder;
   using orca::rt::Runtime;
+  using orca::rt::TeamBarrier;
   EXPECT_STREQ(
       orca::telemetry::gauge_name(orca::telemetry::Gauge::kBarrierAlgorithm),
       "barrier_algorithm");
 
-  // The snapshot answers 1 + BarrierKind deterministically from this
-  // runtime's config; the metrics gauge records the same value (monotone
-  // max across runtimes, so assert >= under parallel test storms).
   RuntimeConfig cfg;
   cfg.telemetry_metrics = true;
-  cfg.barrier = BarrierKind::kDissemination;
   Runtime rt(cfg);
-  MessageBuilder msg;
-  msg.add_telemetry_query();
-  rt.collector_api(msg.buffer());
-  ASSERT_EQ(msg.errcode(0), OMP_ERRCODE_OK);
-  orca_telemetry_snapshot snap = {};
-  msg.reply_value(0, &snap);
-  EXPECT_EQ(snap.barrier_algorithm,
-            static_cast<unsigned long long>(BarrierKind::kDissemination) + 1);
-  const orca::telemetry::MetricsView m = orca::telemetry::metrics();
-  EXPECT_GE(m.gauges[static_cast<std::size_t>(
-                orca::telemetry::Gauge::kBarrierAlgorithm)],
-            static_cast<std::uint64_t>(BarrierKind::kDissemination) + 1);
+  Runtime::make_current(&rt);
+  const auto snapshot_algorithm = [&rt] {
+    MessageBuilder msg;
+    msg.add_telemetry_query();
+    rt.collector_api(msg.buffer());
+    EXPECT_EQ(msg.errcode(0), OMP_ERRCODE_OK);
+    orca_telemetry_snapshot snap = {};
+    msg.reply_value(0, &snap);
+    return snap.barrier_algorithm;
+  };
+  const auto gauge = [] {
+    return orca::telemetry::metrics().gauges[static_cast<std::size_t>(
+        orca::telemetry::Gauge::kBarrierAlgorithm)];
+  };
+  EXPECT_EQ(snapshot_algorithm(), 0u) << "no region yet";
+
+  // The snapshot and the gauge follow the last region's algorithm, both
+  // ways (1 = centralized, 2 = dissemination).
+  TeamBarrier::pin_for_testing(BarrierKind::kDissemination);
+  rt.fork([](int, void*) {}, nullptr, 3);
+  EXPECT_EQ(snapshot_algorithm(), 2u);
+  EXPECT_EQ(gauge(), 2u);
+  TeamBarrier::pin_for_testing(BarrierKind::kCentralized);
+  rt.fork([](int, void*) {}, nullptr, 3);
+  EXPECT_EQ(snapshot_algorithm(), 1u);
+  EXPECT_EQ(gauge(), 1u);
+  TeamBarrier::pin_for_testing(BarrierKind::kAuto);
+  Runtime::make_current(nullptr);
 }
 
 TEST(ConfigFromEnv, ShmKnobsReachDefaultConstructedConfigs) {
   // A fleet operator arms export by environment on whole process trees;
   // tools and benches that build `RuntimeConfig cfg;` by hand (never
-  // calling from_env) must honour it, exactly like ORCA_BARRIER.
+  // calling from_env) must honour it.
   ::setenv("ORCA_SHM_EXPORT", "1", 1);
   ::setenv("ORCA_SHM_PREFIX", "orcaknob", 1);
   ::setenv("ORCA_SHM_RING_CAPACITY", "512", 1);

@@ -5,8 +5,8 @@
 /// regions" (paper Sec. IV-C1). `Parker` is the piece that implements that
 /// sleep, and the centralized team barrier waits on one too: both are "wait
 /// until an epoch word moves past `seen`", woken by whoever advances it.
-/// The dissemination barrier's inbox wait shares the spin half
-/// (`spin_until`).
+/// Every wait spins the same way first (`spin_until`), including the
+/// async drainer's timed nap and the dissemination barrier's inbox wait.
 ///
 /// A futex sleep and wake costs tens of microseconds, more than the gap
 /// between one region's join and the next fork, so `wait()` first spins
@@ -125,15 +125,17 @@ class Parker {
     cv_.wait(lk, [&] { return advanced(seen); });
   }
 
-  /// Like `wait()`, but only the short spin, and gives up after `timeout`.
-  /// Returns true when the epoch advanced, false on timeout. Consumers
-  /// whose producers signal opportunistically (the async event drainer)
-  /// use this as a bounded backstop against lost wake-ups instead of a
-  /// seq-cst handshake on the producer fast path.
+  /// Like `wait()`, but the sleep gives up after `timeout`. Returns true
+  /// when the epoch advanced, false on timeout. Consumers whose producers
+  /// signal opportunistically (the async event drainer) use this as a
+  /// bounded backstop against lost wake-ups instead of a seq-cst handshake
+  /// on the producer fast path. The spin keeps the drainer awake across
+  /// the short gaps inside a burst of events, so it does not fall behind
+  /// a fast team by one futex wake-up per gap.
   template <typename Rep, typename Period>
   bool wait_for(std::uint64_t seen,
                 std::chrono::duration<Rep, Period> timeout) {
-    if (spin_window([&] { return advanced(seen); })) return true;
+    if (spin_until([&] { return advanced(seen); })) return true;
     std::unique_lock<std::mutex> lk(mu_);
     return cv_.wait_for(lk, timeout, [&] { return advanced(seen); });
   }

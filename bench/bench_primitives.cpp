@@ -231,8 +231,7 @@ int main(int argc, char** argv) {
               threads, reps, barrier_inner, cell.dist);
   }
   for (const int threads : thread_counts) {
-    const Cell cell =
-        run_cell(&spinlock_microtask, threads, reps, op_inner);
+    const Cell cell = run_cell(&spinlock_microtask, threads, reps, op_inner);
     print_row(table, "spinlock_acquire", "none", threads, reps, op_inner,
               cell.dist);
   }

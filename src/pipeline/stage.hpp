@@ -6,7 +6,7 @@
 /// A `Stage<T>` accepts items of one type through `push()` and forwards
 /// zero or more items downstream. Stages are built downstream-first with
 /// the factory combinators below (`map`, `filter`, `quantize`, `fanout`,
-/// `tee`, `killswitch`, `buffer`, `collect`, `sink`) and form an arbitrary
+/// `tee`, `killswitch`, `collect`, `sink`) and form an arbitrary
 /// DAG; `Pipeline<T>` (pipeline.hpp) wraps the head and walks the graph
 /// for stats.
 ///
@@ -19,10 +19,9 @@
 ///    `telemetry::Counter::kPipelineDrops`, so shed load is visible in the
 ///    runtime's own telemetry report — never silently eaten.
 ///  * **Thread-safe push.** Any number of threads may push into any stage
-///    concurrently; stages that buffer or aggregate stripe or lock
+///    concurrently; stages that retain or aggregate stripe or lock
 ///    internally. Stages never block on anything but their own downstream
-///    (Overflow::kBlock makes the pushing thread drain — there is no
-///    hidden consumer thread to deadlock against).
+///    (there is no hidden consumer thread to deadlock against).
 ///  * **flush() drains.** `flush()` pushes everything a stage still holds
 ///    into its downstream, then flushes the downstream. After a flush with
 ///    no concurrent pushers, `held == 0` everywhere.
@@ -32,7 +31,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -59,7 +57,7 @@ struct StageStats {
   std::uint64_t emitted = 0;   ///< items forwarded (or retained by a sink)
   std::uint64_t filtered = 0;  ///< items a predicate deliberately discarded
   std::uint64_t dropped = 0;   ///< items lost under pressure (honest loss)
-  std::uint64_t held = 0;      ///< items currently buffered in the stage
+  std::uint64_t held = 0;      ///< buffered items (0: no stage buffers)
 };
 
 /// Type-erased stage base: naming, accounting, and graph traversal. The
@@ -80,7 +78,6 @@ class StageBase {
     s.emitted = emitted_.load(std::memory_order_acquire);
     s.filtered = filtered_.load(std::memory_order_acquire);
     s.dropped = dropped_.load(std::memory_order_acquire);
-    s.held = held();
     return s;
   }
 
@@ -91,8 +88,6 @@ class StageBase {
   virtual std::vector<StageBase*> downstream() const { return {}; }
 
  protected:
-  virtual std::uint64_t held() const { return 0; }
-
   void note_accepted(std::uint64_t n = 1) noexcept {
     accepted_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -146,7 +141,6 @@ class LinkedStage : public Stage<In> {
       : Stage<In>(std::move(name)), down_(std::move(down)) {}
 
   void flush() override {
-    flush_self();
     if (down_) down_->flush();
   }
 
@@ -156,9 +150,6 @@ class LinkedStage : public Stage<In> {
   }
 
  protected:
-  /// Hook for stages that hold items (buffer); default holds nothing.
-  virtual void flush_self() {}
-
   void emit(const Out& item) {
     this->note_emitted();
     if (down_) down_->push(item);
@@ -368,103 +359,6 @@ StagePtr<T> killswitch(std::string name, KillSwitch ks, StagePtr<T> down,
 }
 
 // ---------------------------------------------------------------------------
-// buffer.
-
-/// What a full buffer stage does with the next item (mirrors the runtime's
-/// ring EventBackpressure, but on the consumer side of the fence).
-enum class Overflow {
-  kBlock,       ///< pushing thread drains the buffer downstream (lossless)
-  kDropOldest,  ///< evict the oldest held item, count it as dropped
-  kDropNewest,  ///< shed the incoming item, count it as dropped
-};
-
-template <typename T>
-class BufferStage final : public LinkedStage<T> {
- public:
-  BufferStage(std::string name, std::size_t capacity, Overflow policy,
-              StagePtr<T> down)
-      : LinkedStage<T>(std::move(name), std::move(down)),
-        capacity_(capacity == 0 ? 1 : capacity),
-        policy_(policy) {}
-
-  /// Pop up to `max` held items and push them downstream on the calling
-  /// thread. Returns the number drained. Safe to call concurrently with
-  /// pushers and other drainers (items interleave but none are lost).
-  std::size_t drain(std::size_t max = static_cast<std::size_t>(-1)) {
-    std::size_t total = 0;
-    std::vector<T> batch;
-    while (total < max) {
-      batch.clear();
-      {
-        std::scoped_lock lk(mu_);
-        const std::size_t want =
-            std::min<std::size_t>({max - total, q_.size(), kDrainBatch});
-        if (want == 0) break;
-        batch.assign(q_.begin(), q_.begin() + static_cast<long>(want));
-        q_.erase(q_.begin(), q_.begin() + static_cast<long>(want));
-      }
-      for (const T& item : batch) this->emit(item);
-      total += batch.size();
-    }
-    return total;
-  }
-
- protected:
-  void consume(const T& item) override {
-    for (;;) {
-      {
-        std::scoped_lock lk(mu_);
-        if (q_.size() < capacity_) {
-          q_.push_back(item);
-          return;
-        }
-        switch (policy_) {
-          case Overflow::kDropNewest:
-            this->note_dropped();
-            return;
-          case Overflow::kDropOldest:
-            q_.pop_front();
-            this->note_dropped();
-            q_.push_back(item);
-            return;
-          case Overflow::kBlock:
-            break;  // fall through to drain outside the lock
-        }
-      }
-      // kBlock: lossless without a consumer thread — the pushing thread
-      // pays by draining a batch downstream, then retries the insert.
-      if (drain(kDrainBatch) == 0) cpu_relax();
-    }
-  }
-
-  void flush_self() override { drain(); }
-
-  std::uint64_t held() const override {
-    std::scoped_lock lk(mu_);
-    return q_.size();
-  }
-
- private:
-  static constexpr std::size_t kDrainBatch = 64;
-
-  const std::size_t capacity_;
-  const Overflow policy_;
-  mutable SpinLock mu_;
-  std::deque<T> q_;
-};
-
-/// Bounded staging buffer with an explicit overflow policy. Items sit in
-/// the buffer (`held`) until `drain()` or `flush()` moves them downstream;
-/// under kBlock the pushing thread drains inline, so the stage is lossless
-/// and deadlock-free with zero extra threads.
-template <typename T>
-std::shared_ptr<BufferStage<T>> buffer(std::string name, std::size_t capacity,
-                                       Overflow policy, StagePtr<T> down) {
-  return std::make_shared<BufferStage<T>>(std::move(name), capacity, policy,
-                                          std::move(down));
-}
-
-// ---------------------------------------------------------------------------
 // Terminal stages: collect / sink / null.
 
 /// Terminal stage retaining every item, striped across cache-padded
@@ -513,14 +407,6 @@ class CollectStage final : public Stage<T> {
     size_.store(0, std::memory_order_release);
   }
 
-  /// Route items pushed by the calling thread to stripe `slot` (e.g. the
-  /// origin thread id) instead of hashing the OS thread. Callers that skip
-  /// this get automatic per-thread striping.
-  void push_to(int slot, const T& item) {
-    this->note_accepted();
-    store(slot_index(slot), item);
-  }
-
  protected:
   void consume(const T& item) override {
     store(this_thread_stripe(), item);
@@ -533,11 +419,6 @@ class CollectStage final : public Stage<T> {
     mutable SpinLock mu;
     std::vector<T> items;
   };
-
-  static std::size_t slot_index(int slot) noexcept {
-    return slot >= 0 ? static_cast<std::size_t>(slot) % kStripes
-                     : kStripes - 1;
-  }
 
   static std::size_t this_thread_stripe() noexcept {
     static std::atomic<unsigned> next{0};

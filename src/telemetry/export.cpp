@@ -1,6 +1,7 @@
 #include "telemetry/export.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <limits>
 
@@ -9,71 +10,34 @@
 namespace orca::telemetry {
 namespace {
 
-/// Escape a string for a JSON string literal (control chars, quote, slash).
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size() + 2);
-  for (const char ch : in) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          out += strfmt("\\u%04x", ch);
-        } else {
-          out.push_back(ch);
-        }
+/// Below this many ns, ns / 1000 printed with integer digits equals
+/// "%.3f" of ns / 1000.0: that double is within half an ulp (< 0.0005) of
+/// the exact value. Larger (wrapped) offsets take the double path.
+constexpr std::uint64_t kExactUsLimit = std::uint64_t{1} << 43;
+
+/// Append `in` as the body of a JSON string literal.
+void json_escape(std::string& out, std::string_view in) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (const char c : in) {
+    const auto ch = static_cast<unsigned char>(c);
+    if (ch >= 0x20 && c != '"' && c != '\\') {
+      out += c;
+      continue;
+    }
+    out += '\\';
+    switch (c) {
+      case '"': case '\\': out += c; break;
+      case '\n': out += 'n'; break;
+      case '\r': out += 'r'; break;
+      case '\t': out += 't'; break;
+      default: out += "u00"; out += kHex[ch >> 4]; out += kHex[ch & 0xF];
     }
   }
-  return out;
 }
 
-/// Microsecond timestamp for trace_event, relative to `base` ns.
-double to_us(std::uint64_t ns, std::uint64_t base) {
-  return static_cast<double>(ns - base) / 1000.0;
-}
-
-struct TraceWriter {
-  std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  bool first = true;
-
-  void add(const std::string& event_json) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "\n";
-    out += event_json;
-  }
-
-  std::string finish() {
-    out += "\n]}\n";
-    return std::move(out);
-  }
-};
-
-void add_metadata(TraceWriter& w, int tid, const std::string& thread_name) {
-  w.add(strfmt("{\"ph\":\"M\",\"pid\":1,\"tid\":%d,"
-               "\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}",
-               tid, json_escape(thread_name).c_str()));
-}
-
-void add_complete(TraceWriter& w, int tid, const std::string& name,
-                  const char* cat, std::uint64_t begin_ns,
-                  std::uint64_t end_ns, std::uint64_t base) {
-  const std::uint64_t dur = end_ns > begin_ns ? end_ns - begin_ns : 0;
-  w.add(strfmt("{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"name\":\"%s\","
-               "\"cat\":\"%s\",\"ts\":%.3f,\"dur\":%.3f}",
-               tid, json_escape(name).c_str(), cat, to_us(begin_ns, base),
-               static_cast<double>(dur) / 1000.0));
-}
-
-void add_instant(TraceWriter& w, int tid, const std::string& name,
-                 const char* cat, std::uint64_t ns, std::uint64_t base) {
-  w.add(strfmt("{\"ph\":\"i\",\"pid\":1,\"tid\":%d,\"name\":\"%s\","
-               "\"cat\":\"%s\",\"ts\":%.3f,\"s\":\"t\"}",
-               tid, json_escape(name).c_str(), cat, to_us(ns, base)));
+void append_int(std::string& out, std::int64_t v) {
+  char tmp[24];
+  out.append(tmp, std::to_chars(tmp, tmp + sizeof(tmp), v).ptr);
 }
 
 /// A span kind in flight (open B waiting for its E).
@@ -89,13 +53,12 @@ bool plausible_record(const TimelineRecord& rec) {
          static_cast<std::uint8_t>(rec.phase) <= 2 && rec.ns != 0;
 }
 
-}  // namespace
-
-std::string render_chrome_trace(const std::vector<ExternalEvent>& extra) {
+/// Emit the telemetry timelines plus `extra` through `w`.
+void emit_trace(TraceWriter& w, const std::vector<ExternalEvent>& extra) {
   const std::vector<ThreadTimeline> threads = timelines();
 
   // Base timestamp: the earliest nanosecond anywhere, so the trace starts
-  // near t=0 and double microseconds keep full precision.
+  // near t=0.
   std::uint64_t base = std::numeric_limits<std::uint64_t>::max();
   for (const ThreadTimeline& t : threads) {
     for (const TimelineRecord& rec : t.records) {
@@ -107,20 +70,31 @@ std::string render_chrome_trace(const std::vector<ExternalEvent>& extra) {
   }
   if (base == std::numeric_limits<std::uint64_t>::max()) base = 0;
 
-  TraceWriter w;
-  w.add("{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\","
-        "\"args\":{\"name\":\"orca-runtime\"}}");
-
+  constexpr int kPid = 1;
   constexpr int kExternalTid = 999;
-  bool external_track = false;
+  const auto complete = [&w, base](int tid, std::string_view name,
+                                   std::string_view cat,
+                                   std::uint64_t begin_ns,
+                                   std::uint64_t end_ns) {
+    w.complete(kPid, tid, name, cat, begin_ns - base,
+               end_ns > begin_ns ? end_ns - begin_ns : 0);
+  };
+  const auto instant = [&w, base](int tid, std::string_view name,
+                                  std::string_view cat, std::uint64_t ns) {
+    w.instant(kPid, tid, name, cat, ns - base);
+  };
+
+  w.process_name(kPid, "orca-runtime");
   for (const ExternalEvent& e : extra) {
-    if (e.tid < 0) external_track = true;
+    if (e.tid < 0) {
+      w.thread_name(kPid, kExternalTid, "external");
+      break;
+    }
   }
-  if (external_track) add_metadata(w, kExternalTid, "external");
 
   for (const ThreadTimeline& t : threads) {
-    add_metadata(w, t.tid, t.name.empty() ? strfmt("thread-%d", t.tid)
-                                          : t.name);
+    w.thread_name(kPid, t.tid,
+                  t.name.empty() ? strfmt("thread-%d", t.tid) : t.name);
 
     std::uint64_t last_ns = 0;
     for (const TimelineRecord& rec : t.records) {
@@ -134,15 +108,15 @@ std::string render_chrome_trace(const std::vector<ExternalEvent>& extra) {
     for (const TimelineRecord& rec : t.records) {
       if (!plausible_record(rec) || rec.kind != SpanKind::kState) continue;
       if (prev_state != nullptr) {
-        add_complete(w, t.tid, state_name(static_cast<int>(prev_state->arg)),
-                     "thread-state", prev_state->ns, rec.ns, base);
+        complete(t.tid, state_name(static_cast<int>(prev_state->arg)),
+                 "thread-state", prev_state->ns, rec.ns);
       }
       prev_state = &rec;
     }
     if (prev_state != nullptr) {
-      add_complete(w, t.tid, state_name(static_cast<int>(prev_state->arg)),
-                   "thread-state", prev_state->ns,
-                   std::max(last_ns, prev_state->ns), base);
+      complete(t.tid, state_name(static_cast<int>(prev_state->arg)),
+               "thread-state", prev_state->ns,
+               std::max(last_ns, prev_state->ns));
     }
 
     // Pass 2: explicit B/E pairs become X spans; a lone E (its B was
@@ -155,51 +129,152 @@ std::string render_chrome_trace(const std::vector<ExternalEvent>& extra) {
       const auto k = static_cast<std::size_t>(rec.kind);
       if (rec.phase == Phase::kBegin) {
         if (is_open[k]) {
-          add_instant(w, t.tid, span_name(rec.kind), "runtime-internal",
-                      open[k].begin_ns, base);
+          instant(t.tid, span_name(rec.kind), "runtime-internal",
+                  open[k].begin_ns);
         }
         open[k] = OpenSpan{rec.ns, rec.arg};
         is_open[k] = true;
       } else if (rec.phase == Phase::kEnd) {
         if (!is_open[k]) continue;
-        add_complete(w, t.tid, span_name(rec.kind), "runtime-internal",
-                     open[k].begin_ns, rec.ns, base);
+        complete(t.tid, span_name(rec.kind), "runtime-internal",
+                 open[k].begin_ns, rec.ns);
         is_open[k] = false;
       } else {
-        add_instant(w, t.tid, span_name(rec.kind), "runtime-internal",
-                    rec.ns, base);
+        instant(t.tid, span_name(rec.kind), "runtime-internal", rec.ns);
       }
     }
     for (std::size_t k = 0; k < 6; ++k) {
       if (is_open[k]) {
-        add_instant(w, t.tid, span_name(static_cast<SpanKind>(k)),
-                    "runtime-internal", open[k].begin_ns, base);
+        instant(t.tid, span_name(static_cast<SpanKind>(k)),
+                "runtime-internal", open[k].begin_ns);
       }
     }
   }
 
   for (const ExternalEvent& e : extra) {
     const int tid = e.tid < 0 ? kExternalTid : e.tid;
-    const char* cat = e.category.empty() ? "external" : e.category.c_str();
+    const std::string_view cat =
+        e.category.empty() ? std::string_view("external") : e.category;
     if (e.dur_ns > 0) {
-      add_complete(w, tid, e.name, cat, e.ns, e.ns + e.dur_ns, base);
+      complete(tid, e.name, cat, e.ns, e.ns + e.dur_ns);
     } else {
-      add_instant(w, tid, e.name, cat, e.ns, base);
+      instant(tid, e.name, cat, e.ns);
     }
   }
+}
 
-  return w.finish();
+}  // namespace
+
+TraceWriter::TraceWriter(const std::string& path)
+    : file_(std::fopen(path.c_str(), "w")),
+      streaming_(true),
+      ok_(file_ != nullptr) {
+  // The writer batches into kChunkBytes itself; skip stdio's copy.
+  if (ok_) std::setvbuf(file_.get(), nullptr, _IONBF, 0);
+  buf_.reserve(kChunkBytes + 4096);
+}
+
+void TraceWriter::complete(std::int64_t pid, int tid, std::string_view name,
+                           std::string_view cat, std::uint64_t ts_ns,
+                           std::uint64_t dur_ns) {
+  begin('X', pid, tid);
+  quoted(",\"name\":", name);
+  quoted(",\"cat\":", cat);
+  stamp(",\"ts\":", ts_ns);
+  stamp(",\"dur\":", dur_ns);
+  end("}");
+}
+
+void TraceWriter::instant(std::int64_t pid, int tid, std::string_view name,
+                          std::string_view cat, std::uint64_t ts_ns) {
+  begin('i', pid, tid);
+  quoted(",\"name\":", name);
+  quoted(",\"cat\":", cat);
+  stamp(",\"ts\":", ts_ns);
+  end(",\"s\":\"t\"}");
+}
+
+std::string TraceWriter::take() {
+  buf_ += "\n]}\n";
+  return std::move(buf_);
+}
+
+bool TraceWriter::close() {
+  buf_ += "\n]}\n";
+  flush();
+  if (file_ && std::fclose(file_.release()) != 0) ok_ = false;
+  return ok_;
+}
+
+void TraceWriter::metadata(std::int64_t pid, std::optional<int> tid,
+                           std::string_view kind, std::string_view name) {
+  begin('M', pid, tid);
+  quoted(",\"name\":", kind);
+  quoted(",\"args\":{\"name\":", name);
+  end("}}");
+}
+
+void TraceWriter::begin(char ph, std::int64_t pid, std::optional<int> tid) {
+  buf_ += first_ ? "\n{\"ph\":\"" : ",\n{\"ph\":\"";
+  first_ = false;
+  buf_ += ph;
+  buf_ += "\",\"pid\":";
+  append_int(buf_, pid);
+  if (tid) {
+    buf_ += ",\"tid\":";
+    append_int(buf_, *tid);
+  }
+}
+
+void TraceWriter::quoted(std::string_view key, std::string_view value) {
+  buf_ += key;
+  buf_ += '"';
+  json_escape(buf_, value);
+  buf_ += '"';
+}
+
+void TraceWriter::stamp(std::string_view key, std::uint64_t ns) {
+  buf_ += key;
+  char tmp[48];
+  char* const limit = tmp + sizeof(tmp);
+  char* end = nullptr;
+  if (ns < kExactUsLimit) {
+    char* point = std::to_chars(tmp, limit, ns / 1000).ptr;
+    // 1000 + the fraction prints four digits; its leading '1' becomes '.'.
+    end = std::to_chars(point, limit, 1000 + ns % 1000).ptr;
+    *point = '.';
+  } else {
+    end = std::to_chars(tmp, limit, static_cast<double>(ns) / 1000.0,
+                        std::chars_format::fixed, 3)
+              .ptr;
+  }
+  buf_.append(tmp, end);
+}
+
+void TraceWriter::end(std::string_view tail) {
+  buf_ += tail;
+  if (streaming_ && buf_.size() >= kChunkBytes) flush();
+}
+
+void TraceWriter::flush() {
+  if (file_ && ok_ &&
+      std::fwrite(buf_.data(), 1, buf_.size(), file_.get()) != buf_.size()) {
+    ok_ = false;
+  }
+  buf_.clear();
+}
+
+std::string render_chrome_trace(const std::vector<ExternalEvent>& extra) {
+  TraceWriter w;
+  emit_trace(w, extra);
+  return w.take();
 }
 
 bool write_chrome_trace(const std::string& path,
                         const std::vector<ExternalEvent>& extra) {
-  const std::string json = render_chrome_trace(extra);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool ok = written == json.size() && std::fclose(f) == 0;
-  if (!ok && written != json.size()) std::fclose(f);
-  return ok;
+  TraceWriter w(path);
+  emit_trace(w, extra);
+  return w.close();
 }
 
 std::string render_text_report() {

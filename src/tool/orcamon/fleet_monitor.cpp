@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -20,6 +19,7 @@
 #include "common/rng.hpp"
 #include "pipeline/stage.hpp"
 #include "shm/sigbus_guard.hpp"
+#include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 #include "testing/fault_injection.hpp"
 
@@ -39,29 +39,6 @@ constexpr std::size_t kMaxProducers = 256;
 /// Backoff doubling stops here: 50ms << 5 = 1.6s is already longer than
 /// any mid-init window worth waiting through.
 constexpr unsigned kMaxBackoffShift = 5;
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
 
 /// Short display name for an event code: "FORK", "THR_BEGIN_IDLE", ...
 std::string event_display(std::int32_t code) {
@@ -709,69 +686,51 @@ void FleetMonitor::emit_report(bool final_report) {
 }
 
 bool FleetMonitor::write_trace(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::vector<FleetEvent> events =
+  return write_fleet_trace(
+      path, producers(),
       trace_->sorted([](const FleetEvent& a, const FleetEvent& b) {
         return a.ns < b.ns;
-      });
+      }));
+}
+
+bool write_fleet_trace(const std::string& path,
+                       const std::vector<ProducerInfo>& producers,
+                       const std::vector<FleetEvent>& events) {
   std::uint64_t base = 0;
   for (const FleetEvent& e : events) {
     const std::uint64_t start = e.ns - std::min(e.ns, e.arg);
     if (base == 0 || start < base) base = start;
   }
-
-  std::fputs("{\"traceEvents\":[\n", f);
-  bool first = true;
-  const auto comma = [&] {
-    if (!first) std::fputs(",\n", f);
-    first = false;
-  };
+  telemetry::TraceWriter w(path);
 
   // Process/thread name metadata: one process row per producer, one
   // thread row per (pid, tid) that shows up in the merged stream.
-  for (const ProducerInfo& p : producers()) {
-    comma();
-    std::fprintf(f,
-                 "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%" PRId64
-                 ",\"tid\":0,\"args\":{\"name\":\"%s (pid %" PRId64 "%s)\"}}",
-                 p.pid, json_escape(p.label).c_str(), p.pid,
-                 p.quarantined ? ", quarantined"
-                 : p.dead      ? ", died"
-                               : "");
+  for (const ProducerInfo& p : producers) {
+    const char* state = p.quarantined ? ", quarantined"
+                        : p.dead      ? ", died"
+                                      : "";
+    w.process_name(p.pid,
+                   p.label + " (pid " + std::to_string(p.pid) + state + ")",
+                   0);
   }
   std::set<std::pair<std::int64_t, std::int32_t>> threads;
   for (const FleetEvent& e : events) threads.insert({e.pid, e.tid});
   for (const auto& [pid, tid] : threads) {
-    comma();
-    std::fprintf(f,
-                 "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%" PRId64
-                 ",\"tid\":%d,\"args\":{\"name\":\"%s\"}}",
-                 pid, tid, tid == 0 ? "master" : "worker");
+    w.thread_name(pid, tid, tid == 0 ? "master" : "worker");
   }
 
   for (const FleetEvent& e : events) {
-    comma();
     if (!e.sample && e.code == OMP_EVENT_JOIN && e.arg > 0) {
       // FORK..JOIN region as a complete span on the master track.
-      std::fprintf(f,
-                   "{\"name\":\"parallel region\",\"cat\":\"region\","
-                   "\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%" PRId64
-                   ",\"tid\":%d}",
-                   static_cast<double>(e.ns - e.arg - base) / 1e3,
-                   static_cast<double>(e.arg) / 1e3, e.pid, e.tid);
-      continue;
+      w.complete(e.pid, e.tid, "parallel region", "region",
+                 e.ns - e.arg - base, e.arg);
+    } else {
+      w.instant(e.pid, e.tid,
+                e.sample ? state_display(e.code) : event_display(e.code),
+                e.sample ? "sample" : "event", e.ns - base);
     }
-    const std::string name =
-        e.sample ? state_display(e.code) : event_display(e.code);
-    std::fprintf(f,
-                 "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"ts\":%.3f,"
-                 "\"pid\":%" PRId64 ",\"tid\":%d,\"s\":\"t\"}",
-                 json_escape(name).c_str(), e.sample ? "sample" : "event",
-                 static_cast<double>(e.ns - base) / 1e3, e.pid, e.tid);
   }
-  std::fputs("\n]}\n", f);
-  return std::fclose(f) == 0;
+  return w.close();
 }
 
 }  // namespace orca::tool::orcamon

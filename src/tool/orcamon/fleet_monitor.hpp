@@ -170,7 +170,8 @@ class FleetMonitor {
   /// The fleet report (also what run() writes periodically).
   std::string render_report() const;
 
-  /// Write the merged Perfetto trace-event JSON. False on I/O failure.
+  /// Write the merged Perfetto trace-event JSON (write_fleet_trace over
+  /// every producer and the retained events). False on I/O failure.
   bool write_trace(const std::string& path) const;
 
  private:
@@ -264,5 +265,13 @@ class FleetMonitor {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> retired_threads_;  ///< wedged, joined in dtor
 };
+
+/// The fleet trace through telemetry::TraceWriter: one process track per
+/// producer, one thread track per (pid, tid) in `events` (sorted by ns),
+/// JOINs with a duration as region spans, everything else as instants.
+/// False on I/O failure.
+bool write_fleet_trace(const std::string& path,
+                       const std::vector<ProducerInfo>& producers,
+                       const std::vector<FleetEvent>& events);
 
 }  // namespace orca::tool::orcamon

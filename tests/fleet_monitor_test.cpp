@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "collector/api.h"
 #include "runtime/runtime.hpp"
 #include "shm/exporter.hpp"
 #include "shm/reader.hpp"
@@ -28,9 +29,18 @@ namespace {
 
 using orca::rt::Runtime;
 using orca::rt::RuntimeConfig;
+using orca::tool::orcamon::FleetEvent;
 using orca::tool::orcamon::FleetMonitor;
 using orca::tool::orcamon::MonitorOptions;
 using orca::tool::orcamon::ProducerInfo;
+using orca::tool::orcamon::write_fleet_trace;
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
 
 void burn_region(int, void*) {
   volatile double x = 0;
@@ -195,6 +205,78 @@ TEST(FleetMonitor, ThreeProducersOneKilledMidRun) {
   std::remove(stop_file.c_str());
   std::remove(trace_file.c_str());
   std::remove(opts.report_out.c_str());
+}
+
+// Fixed producers and events, exact output: pins the fleet trace's
+// tracks, region spans, instant names and escaping.
+TEST(FleetTrace, GoldenOutput) {
+  std::vector<ProducerInfo> producers(2);
+  producers[0].pid = 41;
+  producers[0].label = "np \"a\"";
+  producers[1].pid = 42;
+  producers[1].label = "np-b";
+  producers[1].dead = true;
+  const auto ev = [](std::int64_t pid, std::uint64_t ns, std::int32_t tid,
+                     std::int32_t code, std::uint64_t arg, bool sample) {
+    FleetEvent e;
+    e.pid = pid;
+    e.ns = ns;
+    e.tid = tid;
+    e.code = code;
+    e.arg = arg;
+    e.sample = sample;
+    return e;
+  };
+  const std::vector<FleetEvent> events = {
+      ev(41, 10'000, 0, OMP_EVENT_FORK, 0, false),
+      ev(42, 10'500, 1, THR_WORK_STATE, 7, true),
+      ev(41, 12'345, 0, OMP_EVENT_JOIN, 2'345, false),
+      ev(42, 13'000, 0, OMP_EVENT_JOIN, 0, false),
+      ev(42, 14'001, 3, 9999, 0, false),
+  };
+  const std::string path = ::testing::TempDir() + "orca_fleet_golden.json";
+  ASSERT_TRUE(write_fleet_trace(path, producers, events));
+  const std::string expected = R"json({"displayTimeUnit":"ns","traceEvents":[
+{"ph":"M","pid":41,"tid":0,"name":"process_name","args":{"name":"np \"a\" (pid 41)"}},
+{"ph":"M","pid":42,"tid":0,"name":"process_name","args":{"name":"np-b (pid 42, died)"}},
+{"ph":"M","pid":41,"tid":0,"name":"thread_name","args":{"name":"master"}},
+{"ph":"M","pid":42,"tid":0,"name":"thread_name","args":{"name":"master"}},
+{"ph":"M","pid":42,"tid":1,"name":"thread_name","args":{"name":"worker"}},
+{"ph":"M","pid":42,"tid":3,"name":"thread_name","args":{"name":"worker"}},
+{"ph":"i","pid":41,"tid":0,"name":"FORK","cat":"event","ts":0.000,"s":"t"},
+{"ph":"i","pid":42,"tid":1,"name":"THR_WORK_STATE","cat":"sample","ts":0.500,"s":"t"},
+{"ph":"X","pid":41,"tid":0,"name":"parallel region","cat":"region","ts":0.000,"dur":2.345},
+{"ph":"i","pid":42,"tid":0,"name":"JOIN","cat":"event","ts":3.000,"s":"t"},
+{"ph":"i","pid":42,"tid":3,"name":"event-9999","cat":"event","ts":4.001,"s":"t"}
+]}
+)json";
+  EXPECT_EQ(slurp(path), expected);
+  std::remove(path.c_str());
+}
+
+// The monitor's trace path reports I/O failure, and an empty fleet still
+// writes a complete document.
+TEST(FleetTrace, WriteFailuresReturnFalseAndEmptyTraceIsComplete) {
+  MonitorOptions opts;
+  opts.prefix = "orcafleet-none-" + std::to_string(::getpid());
+  FleetMonitor monitor(opts);
+  const std::string path = ::testing::TempDir() + "orca_fleet_empty.json";
+  ASSERT_TRUE(monitor.write_trace(path));
+  EXPECT_EQ(slurp(path),
+            "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n]}\n");
+  std::remove(path.c_str());
+
+  EXPECT_FALSE(monitor.write_trace(::testing::TempDir() +
+                                   "no-such-dir/fleet.json"));
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(monitor.write_trace("/dev/full"));
+  std::vector<FleetEvent> events(2000);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    events[i].pid = 7;
+    events[i].ns = 1000 + i;
+    events[i].code = OMP_EVENT_FORK;
+  }
+  EXPECT_FALSE(write_fleet_trace("/dev/full", {}, events));
 }
 
 TEST(FleetMonitor, EmptyFleetHonoursDuration) {

@@ -1,15 +1,14 @@
 /// Pipeline soak under the signal-storm harness: a 1 kHz SIGPROF sampling
 /// collector hammers the async-signal-safe query fast path while producer
-/// threads stream events through a 4-stage chain
-/// (buffer -> quantize -> map -> aggregate) and a drainer empties the
-/// buffer concurrently. The suite asserts what a soak is for:
+/// threads stream events through a 3-stage chain
+/// (quantize -> map -> aggregate). The suite asserts what a soak is for:
 ///
 ///   * no loss-counter lies — every stage's books balance
 ///     (accepted == emitted + filtered + dropped + held) and the items
 ///     reaching the bounded aggregate are all accounted for in its
 ///     sketches;
 ///   * constant memory — RSS measured after warmup does not grow over the
-///     soak window (bounded buffer, bounded aggregate keys);
+///     soak window (bounded aggregate keys);
 ///   * the sampler's per-region histogram assembly (region_report) works
 ///     over the samples the storm produced.
 ///
@@ -47,7 +46,6 @@ namespace {
 
 using orca::pipeline::AggregateRow;
 using orca::pipeline::Event;
-using orca::pipeline::Overflow;
 using orca::pipeline::Pipeline;
 using orca::pipeline::StagePtr;
 using orca::pipeline::StageStats;
@@ -74,7 +72,7 @@ void expect_honest(const StageStats& s) {
       << "stage " << s.name << " lies about its accounting";
 }
 
-TEST(PipelineSoak, FourStageChainUnderKilohertzSignalStorm) {
+TEST(PipelineSoak, ThreeStageChainUnderKilohertzSignalStorm) {
   const long seconds = RuntimeConfig::env_long(
       "ORCA_SOAK_SECONDS", 3, 1, "soak duration in seconds >= 1");
 
@@ -90,9 +88,8 @@ TEST(PipelineSoak, FourStageChainUnderKilohertzSignalStorm) {
   opts.hz = 1000;
   ASSERT_TRUE(sc.start(&__omp_collector_api, opts));
 
-  // The 4-stage chain, downstream-first. The aggregate is bounded (64
-  // region keys + overflow) and the buffer is bounded (4096 slots,
-  // drop-oldest) — between them the whole assembly is constant-memory no
+  // The 3-stage chain, downstream-first. The aggregate is bounded (64
+  // region keys + overflow), so the whole assembly is constant-memory no
   // matter how long the soak runs.
   auto agg = orca::pipeline::aggregate<Event>(
       "by-tid", [](const Event& e) { return std::uint64_t(e.tid); },
@@ -106,9 +103,7 @@ TEST(PipelineSoak, FourStageChainUnderKilohertzSignalStorm) {
       },
       StagePtr<Event>(agg));
   chain = orca::pipeline::quantize<Event>("q4", 4, std::move(chain));
-  auto buf = orca::pipeline::buffer<Event>("buf", 4096, Overflow::kDropOldest,
-                                           std::move(chain));
-  Pipeline<Event> pipe{StagePtr<Event>(buf)};
+  Pipeline<Event> pipe{std::move(chain)};
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
@@ -118,7 +113,7 @@ TEST(PipelineSoak, FourStageChainUnderKilohertzSignalStorm) {
 
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> pushed{0};
-  std::atomic<std::size_t> rss_after_warmup{0};
+  std::size_t rss_after_warmup = 0;
 
   // Producers: stream synthetic decoded events through the chain flat out.
   std::vector<std::thread> producers;
@@ -143,21 +138,6 @@ TEST(PipelineSoak, FourStageChainUnderKilohertzSignalStorm) {
     });
   }
 
-  // Drainer: empties the buffer concurrently with the pushers, so the
-  // downstream stages run on a different thread than the producers (the
-  // TSan-interesting schedule).
-  std::thread drainer([&rt, &buf, &done, &warmup, &rss_after_warmup] {
-    Runtime::make_current(&rt);
-    bool warmed = false;
-    while (!done.load(std::memory_order_acquire)) {
-      if (!warmed && std::chrono::steady_clock::now() >= warmup) {
-        warmed = true;
-        rss_after_warmup.store(resident_bytes(), std::memory_order_relaxed);
-      }
-      if (buf->drain(512) == 0) std::this_thread::yield();
-    }
-  });
-
   // Meanwhile the runtime does real parallel work on the main thread, so
   // SIGPROF ticks land while teams fork/join and the handler's fast-path
   // queries race the pipeline's stage traffic.
@@ -172,13 +152,15 @@ TEST(PipelineSoak, FourStageChainUnderKilohertzSignalStorm) {
                                          orca::epcc::Directive::kCritical};
   std::size_t round = 0;
   while (std::chrono::steady_clock::now() < deadline) {
+    if (rss_after_warmup == 0 && std::chrono::steady_clock::now() >= warmup) {
+      rss_after_warmup = resident_bytes();
+    }
     const auto r = bench.measure(cycle[round++ % 3]);
     EXPECT_GE(r.total_seconds, 0.0);
   }
 
   done.store(true, std::memory_order_release);
   for (auto& th : producers) th.join();
-  drainer.join();
 
   const std::size_t rss_end = resident_bytes();
   sc.stop();
@@ -186,7 +168,7 @@ TEST(PipelineSoak, FourStageChainUnderKilohertzSignalStorm) {
 
   // --- No loss-counter lies. -------------------------------------------
   const std::vector<StageStats> stats = pipe.stats();
-  ASSERT_EQ(stats.size(), 4u);
+  ASSERT_EQ(stats.size(), 3u);
   std::uint64_t dropped = 0;
   for (const StageStats& s : stats) {
     expect_honest(s);
@@ -196,9 +178,9 @@ TEST(PipelineSoak, FourStageChainUnderKilohertzSignalStorm) {
   // final flush nothing is silently parked.
   EXPECT_EQ(stats[0].accepted, pushed.load());
   for (const StageStats& s : stats) EXPECT_EQ(s.held, 0u) << s.name;
-  // Only the bounded buffer sheds; the aggregate absorbs (overflow is
-  // aggregation into the catch-all row, not loss).
-  EXPECT_EQ(dropped, stats[0].dropped);
+  // Nothing sheds: quantize filters on purpose, and the aggregate absorbs
+  // (overflow is aggregation into the catch-all row, not loss).
+  EXPECT_EQ(dropped, 0u);
   // Items reaching the aggregate are all accounted for in its sketches.
   std::uint64_t sketched = 0;
   for (const AggregateRow& row : agg->snapshot()) sketched += row.sketch.count;
@@ -206,7 +188,7 @@ TEST(PipelineSoak, FourStageChainUnderKilohertzSignalStorm) {
   EXPECT_GT(sketched, 0u);
 
   // --- Constant memory. -------------------------------------------------
-  const std::size_t rss_mid = rss_after_warmup.load();
+  const std::size_t rss_mid = rss_after_warmup;
   if (rss_mid != 0 && rss_end != 0) {
     // Bounded stages: RSS after warmup must not creep. Allow generous
     // allocator/sampler slack (sampler lane pages count once written).

@@ -1,12 +1,11 @@
 /// Unit tests for the composable stream-stage API (src/pipeline/): the
 /// combinator vocabulary, the per-stage accounting invariant
-/// (accepted == emitted + filtered + dropped + held), backpressure
-/// policies, flush semantics, and the bounded online aggregate.
+/// (accepted == emitted + filtered + dropped + held), flush semantics,
+/// and the bounded online aggregate.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "pipeline/aggregate.hpp"
@@ -19,7 +18,6 @@ using orca::pipeline::AggregateRow;
 using orca::pipeline::by_seq;
 using orca::pipeline::Event;
 using orca::pipeline::KillSwitch;
-using orca::pipeline::Overflow;
 using orca::pipeline::Pipeline;
 using orca::pipeline::StagePtr;
 using orca::pipeline::StageStats;
@@ -102,51 +100,6 @@ TEST(Stage, KillswitchTripsManuallyAndAfterLimit) {
   for (int i = 0; i < 20; ++i) p2.push(i);
   EXPECT_EQ(log2->size(), 5u);
   EXPECT_TRUE(ks2.tripped());
-}
-
-TEST(Stage, BufferDropNewestAndDropOldestCountLoss) {
-  auto log = orca::pipeline::collect<int>("log");
-  auto newest = orca::pipeline::buffer<int>("buf", 4, Overflow::kDropNewest,
-                                            StagePtr<int>(log));
-  for (int i = 0; i < 10; ++i) newest->push(i);
-  EXPECT_EQ(newest->stats().held, 4u);
-  EXPECT_EQ(newest->stats().dropped, 6u);
-  expect_honest(newest->stats());
-  newest->flush();
-  EXPECT_EQ(newest->stats().held, 0u);
-  // First four survive under drop-newest.
-  EXPECT_EQ(log->sorted(std::less<int>()), (std::vector<int>{0, 1, 2, 3}));
-
-  auto log2 = orca::pipeline::collect<int>("log2");
-  auto oldest = orca::pipeline::buffer<int>("buf", 4, Overflow::kDropOldest,
-                                            StagePtr<int>(log2));
-  for (int i = 0; i < 10; ++i) oldest->push(i);
-  oldest->flush();
-  expect_honest(oldest->stats());
-  // Last four survive under drop-oldest.
-  EXPECT_EQ(log2->sorted(std::less<int>()), (std::vector<int>{6, 7, 8, 9}));
-}
-
-TEST(Stage, BufferBlockIsLosslessWithoutConsumerThread) {
-  auto log = orca::pipeline::collect<int>("log");
-  auto buf = orca::pipeline::buffer<int>("buf", 8, Overflow::kBlock,
-                                         StagePtr<int>(log));
-  Pipeline<int> p{StagePtr<int>(buf)};
-  constexpr int kPerThread = 5000;
-  std::vector<std::thread> threads;
-  threads.reserve(4);
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&p] {
-      for (int i = 0; i < kPerThread; ++i) p.push(i);
-    });
-  }
-  for (auto& th : threads) th.join();
-  p.flush();
-  EXPECT_EQ(log->size(), 4u * kPerThread);
-  for (const auto& s : p.stats()) {
-    expect_honest(s);
-    EXPECT_EQ(s.dropped, 0u) << s.name;
-  }
 }
 
 TEST(Stage, SinkAndNullCount) {

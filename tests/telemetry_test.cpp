@@ -192,6 +192,88 @@ TEST_F(TelemetryTest, ChromeTraceExportsSpansAndExternalEvents) {
   std::remove(path.c_str());
 }
 
+// Fixed input, exact output: pins the trace bytes (key order, escaping,
+// the %.3f microsecond stamps, the external track) so a change to the
+// writer cannot move them unnoticed.
+TEST_F(TelemetryTest, ChromeTraceGoldenOutput) {
+  const auto ext = [](std::uint64_t ns, std::uint64_t dur_ns, int tid,
+                      std::string name, std::string category) {
+    tel::ExternalEvent e;
+    e.ns = ns;
+    e.dur_ns = dur_ns;
+    e.tid = tid;
+    e.name = std::move(name);
+    e.category = std::move(category);
+    return e;
+  };
+  const std::vector<tel::ExternalEvent> extra = {
+      ext(1000, 0, -1, "fork \"q\"", "collector"),
+      ext(2500, 1234567, 3, "back\\slash\nline", ""),
+      ext(7001, 0, 0, "cr\rtab\tctl\x01", "perf"),
+      ext(1001, 1, 2, "tiny", "c"),
+      ext(1000 + 123456789012ull, 999, -1, "late", "collector"),
+  };
+  const std::string expected = R"json({"displayTimeUnit":"ns","traceEvents":[
+{"ph":"M","pid":1,"name":"process_name","args":{"name":"orca-runtime"}},
+{"ph":"M","pid":1,"tid":999,"name":"thread_name","args":{"name":"external"}},
+{"ph":"i","pid":1,"tid":999,"name":"fork \"q\"","cat":"collector","ts":0.000,"s":"t"},
+{"ph":"X","pid":1,"tid":3,"name":"back\\slash\nline","cat":"external","ts":1.500,"dur":1234.567},
+{"ph":"i","pid":1,"tid":0,"name":"cr\rtab\tctl\u0001","cat":"perf","ts":6.001,"s":"t"},
+{"ph":"X","pid":1,"tid":2,"name":"tiny","cat":"c","ts":0.001,"dur":0.001},
+{"ph":"X","pid":1,"tid":999,"name":"late","cat":"collector","ts":123456789.012,"dur":0.999}
+]}
+)json";
+  EXPECT_EQ(tel::render_chrome_trace(extra), expected);
+}
+
+// A file written through TraceWriter's chunked hand-over holds exactly
+// the in-memory document, also when it spans several chunks.
+TEST_F(TelemetryTest, ChromeTraceFilePastOneChunkEqualsRender) {
+  std::vector<tel::ExternalEvent> extra(3000);
+  for (std::size_t i = 0; i < extra.size(); ++i) {
+    extra[i].ns = 1'000'000 + 977 * i;
+    extra[i].dur_ns = i % 3 == 0 ? 0 : 500 + i;
+    extra[i].tid = static_cast<int>(i % 5) - 1;
+    extra[i].name = "event \"" + std::to_string(i) + "\"";
+    extra[i].category = "collector";
+  }
+  const std::string json = tel::render_chrome_trace(extra);
+  ASSERT_GT(json.size(), 2 * tel::TraceWriter::kChunkBytes);
+
+  const std::string path = ::testing::TempDir() + "orca_chunked_trace.json";
+  ASSERT_TRUE(tel::write_chrome_trace(path, extra));
+  EXPECT_EQ(slurp(path), json);
+  std::remove(path.c_str());
+}
+
+// Every failed write reaches the caller: the open, a mid-stream chunk and
+// the last write at close().
+TEST_F(TelemetryTest, ChromeTraceWriteFailuresReturnFalse) {
+  EXPECT_FALSE(tel::write_chrome_trace(::testing::TempDir() +
+                                       "no-such-dir/trace.json"));
+  if (!file_exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(tel::write_chrome_trace("/dev/full"));
+  std::vector<tel::ExternalEvent> extra(2000);
+  for (std::size_t i = 0; i < extra.size(); ++i) {
+    extra[i].ns = 1000 + i;
+    extra[i].name = "OMP_EVENT_THR_BEGIN_IDLE";
+  }
+  EXPECT_FALSE(tel::write_chrome_trace("/dev/full", extra));
+}
+
+// A trace with no events is still a complete JSON document, in memory and
+// on disk.
+TEST_F(TelemetryTest, EmptyTraceIsCompleteDocument) {
+  const std::string empty =
+      "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n]}\n";
+  EXPECT_EQ(tel::TraceWriter().take(), empty);
+
+  const std::string path = ::testing::TempDir() + "orca_empty_trace.json";
+  ASSERT_TRUE(tel::TraceWriter(path).close());
+  EXPECT_EQ(slurp(path), empty);
+  std::remove(path.c_str());
+}
+
 TEST_F(TelemetryTest, TextReportListsMetricCatalog) {
   tel::arm(tel::kMetricsBit);
   tel::count(tel::Counter::kForks, 3);

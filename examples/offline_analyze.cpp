@@ -72,7 +72,7 @@ void analyze(const std::string& path) {
   std::printf("parallel regions: %llu, total fork->join time: %.6fs\n",
               static_cast<unsigned long long>(regions), total);
   if (report.unpaired_joins != 0) {
-    std::printf("unpaired joins: %llu (no open fork on tid 0)\n",
+    std::printf("unpaired joins: %llu (no open fork on their thread)\n",
                 static_cast<unsigned long long>(report.unpaired_joins));
   }
 

@@ -3,11 +3,11 @@
 /// whose cost dominates the paper's overhead breakdown (Sec. V-B: 81-99% of
 /// the observed overhead is measurement/storage, not callbacks).
 ///
-/// Event samples go into `SampleLane`s: fixed-capacity, lock-free lanes
-/// that any number of threads — and a signal handler interrupting one of
-/// them — may append to at once. A writer claims a cell with one
-/// `fetch_add` and publishes it with a per-cell stamp; the only loss is a
-/// claim past capacity, and it is counted. The same lane backs the
+/// Event samples go into `SampleLane`s: fixed-capacity, lock-free lanes,
+/// one per writing thread. A writer claims a cell with one `fetch_add` and
+/// publishes it with a per-cell stamp, so a signal handler interrupting a
+/// record on the same thread still gets a cell of its own; the only loss
+/// is a claim past capacity, and it is counted. The same lane backs the
 /// PrototypeCollector's per-thread store and the SIGPROF sampler.
 /// Join-time callstack records go into a per-thread growable store, since
 /// their cost is exactly what experiment E6 measures.
@@ -25,13 +25,17 @@
 
 namespace orca::perf {
 
-/// One event notification sample.
+/// One event notification sample. `event` and `lane` share the 32 bits
+/// that once held a 32-bit event: on a little-endian host a trace written
+/// before lanes existed reads back as lane 0.
 struct EventSample {
   std::uint64_t ticks = 0;      ///< hardware time-counter value
   std::uint64_t region_id = 0;  ///< current parallel region (0 = none)
-  std::int32_t event = 0;       ///< OMP_COLLECTORAPI_EVENT value
+  std::int16_t event = 0;       ///< OMP_COLLECTORAPI_EVENT value
+  std::uint16_t lane = 0;       ///< store lane (SampleStore::merged_samples)
   std::int32_t tid = 0;         ///< sampling thread's gtid
 };
+static_assert(sizeof(EventSample) == 24);
 
 /// One join-time callstack record (implementation model, reconstructed to
 /// the user model offline).
@@ -46,10 +50,11 @@ struct CallstackRecord {
 ///
 /// record() claims cell `tail.fetch_add(1)`, writes the sample, then
 /// release-stores the cell's stamp `base + pos + 1`. No lock, allocation
-/// or syscall: several threads sharing a slot (MiniMPI rank masters all
-/// carry gtid 0) and a SIGPROF handler re-entering on the writing thread
-/// each get a cell of their own. A claim at or past capacity is the only
-/// drop, so dropped() is just `tail - capacity`.
+/// or syscall. A lane normally has one writing thread, but a SIGPROF
+/// handler re-entering on that thread, and the threads past a store's last
+/// lane (SampleStore), each still get a cell of their own. A claim at or
+/// past capacity is the only drop, so dropped() is just
+/// `tail - capacity`.
 ///
 /// Readers visit only cells whose stamp is published; a cell is written
 /// once and never again before clear(), so a reader may run alongside the
@@ -127,22 +132,25 @@ class SampleLane {
   std::atomic<std::uint64_t> base_{0};
 };
 
-/// Per-thread sample storage for one tool session.
+/// Per-thread sample storage for one tool session: slot `i` is a sample
+/// lane and a callstack store, each written by the thread that claimed
+/// slot `i` (PrototypeCollector hands one to each calling thread).
 class SampleStore {
  public:
-  /// `threads` lane slots (indexed by gtid) of `capacity` samples each.
+  /// `threads` slots (at least 1, at most 65536) of `capacity` samples each.
   SampleStore(std::size_t threads, std::size_t capacity);
 
-  /// Lane of thread slot `tid` (clamped to the last slot).
+  /// Lane of slot `tid` (clamped to the last slot).
   SampleLane& buffer(int tid) noexcept;
 
-  /// Append a callstack record for thread slot `tid`.
+  /// Append a callstack record for slot `tid`.
   void record_callstack(int tid, CallstackRecord record);
 
-  /// All event samples, merged across threads, ordered by tick.
+  /// All event samples, merged across slots, ordered by tick; equal ticks
+  /// keep slot order, then claim order. Each sample's `lane` is its slot.
   std::vector<EventSample> merged_samples() const;
 
-  /// All callstack records, merged, ordered by tick.
+  /// All callstack records, merged, ordered by tick (ties as above).
   std::vector<CallstackRecord> merged_callstacks() const;
 
   /// Calls `fn(const CallstackRecord&)` on every callstack record in

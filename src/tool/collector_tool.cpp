@@ -1,6 +1,7 @@
 #include "tool/collector_tool.hpp"
 
 #include <algorithm>
+#include <array>
 #include <mutex>
 #include <unordered_map>
 
@@ -14,27 +15,18 @@ namespace orca::tool {
 
 namespace {
 
-/// This thread's callback-counter slot (assigned round-robin on first use).
-std::size_t callback_slot() noexcept {
-  static std::atomic<std::size_t> next_slot{0};
-  constinit thread_local std::size_t slot = kCallbackCounterSlots;
-  if (slot == kCallbackCounterSlots) {
-    slot = next_slot.fetch_add(1, std::memory_order_relaxed) %
-           kCallbackCounterSlots;
-  }
-  return slot;
-}
-
-/// Ticks of the forks this thread has open, innermost last. FORK and JOIN
-/// of one region fire on the same thread (its master), so nested regions
-/// and MiniMPI ranks each pair correctly.
-struct ForkStack {
+/// This thread's claim on the current session: its lane, and the ticks of
+/// the forks it has open, innermost last. FORK and JOIN of one region fire
+/// on the same thread (its master), so nested regions and MiniMPI ranks
+/// each pair correctly. A claim from an older session generation is stale.
+struct ThreadClaim {
   std::uint64_t generation = 0;
+  std::size_t lane = 0;
   std::size_t depth = 0;  ///< may exceed kForkStackDepth; deeper ticks are lost
   std::array<std::uint64_t, kForkStackDepth> ticks{};
 };
 
-constinit thread_local ForkStack t_forks;
+constinit thread_local ThreadClaim t_claim;
 
 }  // namespace
 
@@ -48,13 +40,20 @@ void PrototypeCollector::event_callback(OMP_COLLECTORAPI_EVENT event) {
 }
 
 void PrototypeCollector::configure(ToolOptions opts) {
+  // The store is sized by the options that built it (the last configure's).
+  const bool resize = store_ == nullptr ||
+                      opts.thread_slots != opts_.thread_slots ||
+                      opts.sample_capacity != opts_.sample_capacity;
   opts_ = std::move(opts);
-  fork_generation_.fetch_add(1, std::memory_order_relaxed);
   counter_ = perf::HwTimeCounter(opts_.counter);
-  if (store_ == nullptr) {
+  if (resize) {
     store_ = std::make_unique<perf::SampleStore>(opts_.thread_slots,
                                                  opts_.sample_capacity);
+    callback_counts_ =
+        std::vector<CachePadded<std::atomic<std::uint64_t>>>(store_->slots());
   }
+  next_lane_.store(0, std::memory_order_relaxed);
+  session_generation_.fetch_add(1, std::memory_order_relaxed);
   client_ = collector::Client::discover();
 }
 
@@ -101,24 +100,29 @@ std::uint64_t PrototypeCollector::callback_invocations() const noexcept {
   return total;
 }
 
-void PrototypeCollector::push_fork(std::uint64_t fork_ticks) noexcept {
-  ForkStack& forks = t_forks;
+std::size_t PrototypeCollector::claim_lane() noexcept {
+  ThreadClaim& claim = t_claim;
   const std::uint64_t generation =
-      fork_generation_.load(std::memory_order_relaxed);
-  if (forks.generation != generation) {
-    forks.generation = generation;
-    forks.depth = 0;
+      session_generation_.load(std::memory_order_relaxed);
+  if (claim.generation != generation) {
+    // Threads past the last lane share it (counted by lanes_claimed()).
+    const std::uint64_t n = next_lane_.fetch_add(1, std::memory_order_relaxed);
+    claim.generation = generation;
+    claim.lane = std::min<std::uint64_t>(n, store_->slots() - 1);
+    claim.depth = 0;
   }
+  return claim.lane;
+}
+
+void PrototypeCollector::push_fork(std::uint64_t fork_ticks) noexcept {
+  ThreadClaim& forks = t_claim;
   if (forks.depth < kForkStackDepth) forks.ticks[forks.depth] = fork_ticks;
   ++forks.depth;
 }
 
 std::uint64_t PrototypeCollector::pop_fork() noexcept {
-  ForkStack& forks = t_forks;
-  if (forks.generation != fork_generation_.load(std::memory_order_relaxed) ||
-      forks.depth == 0) {
-    return 0;  // the fork predates reset()/configure(), or was never seen
-  }
+  ThreadClaim& forks = t_claim;
+  if (forks.depth == 0) return 0;  // the fork predates the session
   --forks.depth;
   return forks.depth < kForkStackDepth ? forks.ticks[forks.depth] : 0;
 }
@@ -158,13 +162,14 @@ bool PrototypeCollector::passes_dedup(const std::vector<const void*>& frames) {
 }
 
 void PrototypeCollector::on_event(OMP_COLLECTORAPI_EVENT event) {
-  callback_counts_[callback_slot()].value.fetch_add(1,
-                                                    std::memory_order_relaxed);
-  if (!opts_.measure || store_ == nullptr) return;  // communication-only arm
+  if (store_ == nullptr) return;  // never configured
+  const std::size_t lane = claim_lane();
+  callback_counts_[lane].value.fetch_add(1, std::memory_order_relaxed);
+  if (!opts_.measure) return;  // communication-only arm
 
   perf::EventSample sample;
   sample.ticks = counter_.read();
-  sample.event = static_cast<std::int32_t>(event);
+  sample.event = static_cast<std::int16_t>(event);
   sample.tid = __ompc_get_global_thread_num();
 
   if (event == OMP_EVENT_FORK) {
@@ -195,14 +200,14 @@ void PrototypeCollector::on_event(OMP_COLLECTORAPI_EVENT event) {
         }
         record.frames = unwind::Callstack::capture(/*skip=*/2).to_vector();
         if (passes_dedup(record.frames)) {
-          store_->record_callstack(sample.tid, std::move(record));
+          store_->record_callstack(static_cast<int>(lane), std::move(record));
         } else {
           filtered_count_.fetch_add(1, std::memory_order_relaxed);
         }
       }
     }
   }
-  store_->buffer(sample.tid).record(sample);
+  store_->buffer(static_cast<int>(lane)).record(sample);
 }
 
 perf::TraceData PrototypeCollector::trace_data() const {
@@ -221,7 +226,8 @@ void PrototypeCollector::reset() {
   }
   filtered_count_.store(0, std::memory_order_relaxed);
   join_count_.store(0, std::memory_order_relaxed);
-  fork_generation_.fetch_add(1, std::memory_order_relaxed);
+  next_lane_.store(0, std::memory_order_relaxed);
+  session_generation_.fetch_add(1, std::memory_order_relaxed);
   std::scoped_lock lk(contexts_mu_);
   seen_contexts_.clear();
 }
@@ -230,25 +236,59 @@ Report analyze_samples(std::span<const perf::EventSample> samples,
                        const perf::HwTimeCounter& counter) {
   Report report;
   report.total_events = samples.size();
-  for (const perf::EventSample& s : samples) {
-    ++report.event_counts[s.event];
+
+  // begin_of[end] is the begin kind an end event closes (0 = none).
+  std::array<int, ORCA_EVENT_EXT_LAST> begin_of{};
+  for (int b = ORCA_EVENT_EXT_LAST - 1; b >= 1; --b) {
+    const OMP_COLLECTORAPI_EVENT end =
+        collector::matching_end(static_cast<OMP_COLLECTORAPI_EVENT>(b));
+    if (end != OMP_EVENT_LAST) begin_of[end] = b;  // lowest begin wins
   }
 
-  // Pair fork/join on the master thread (both events fire only there) to
-  // produce per-region intervals. Joins carry the region id.
+  // A thread is its (lane, gtid): the lane tells MiniMPI rank masters (all
+  // gtid 0) apart, the gtid the threads past the last lane. Per thread:
+  // the open fork and begins, and the intervals closed so far.
+  struct Open {
+    std::uint64_t ticks = 0;
+    bool open = false;
+  };
+  struct Thread {
+    int tid = 0;
+    Open fork;
+    std::array<Open, ORCA_EVENT_EXT_LAST> begin{};
+    std::array<std::uint64_t, ORCA_EVENT_EXT_LAST> intervals{};
+    std::array<double, ORCA_EVENT_EXT_LAST> seconds{};
+  };
+  std::vector<std::vector<Thread>> lanes;  // by lane, then gtid
+  const auto thread_of = [&lanes](const perf::EventSample& s) -> Thread& {
+    if (s.lane >= lanes.size()) lanes.resize(s.lane + 1u);
+    std::vector<Thread>& tids = lanes[s.lane];
+    for (Thread& t : tids) {
+      if (t.tid == s.tid) return t;
+    }
+    Thread& t = tids.emplace_back();
+    t.tid = s.tid;
+    return t;
+  };
+
+  // Fork/join pairs on each master thread (both events fire only there)
+  // give per-region intervals; joins carry the region id. Begin/end pairs
+  // give time-in-construct (the "OpenMP specific performance metrics" of
+  // Sec. VI — implicit/explicit barrier time, lock wait time, ...).
   std::unordered_map<unsigned long, RegionStats> regions;
-  std::uint64_t open_fork_ticks = 0;
-  bool fork_open = false;
   for (const perf::EventSample& s : samples) {
-    if (s.tid != 0) continue;
-    if (s.event == OMP_EVENT_FORK) {
-      open_fork_ticks = s.ticks;
-      fork_open = true;
-    } else if (s.event == OMP_EVENT_JOIN && !fork_open) {
-      ++report.unpaired_joins;
-    } else if (s.event == OMP_EVENT_JOIN) {
-      fork_open = false;
-      const double seconds = counter.to_seconds(s.ticks - open_fork_ticks);
+    ++report.event_counts[s.event];
+    const auto event = static_cast<OMP_COLLECTORAPI_EVENT>(s.event);
+    if (event == OMP_EVENT_FORK) {
+      thread_of(s).fork = {s.ticks, true};
+    } else if (event == OMP_EVENT_JOIN) {
+      Open& fork = thread_of(s).fork;
+      if (!fork.open) {
+        ++report.unpaired_joins;
+        continue;
+      }
+      fork.open = false;
+      const double seconds = counter.to_seconds(s.ticks - fork.ticks);
       RegionStats& r = regions[s.region_id];
       if (r.invocations == 0) {
         r.region_id = s.region_id;
@@ -259,6 +299,18 @@ Report analyze_samples(std::span<const perf::EventSample> samples,
       r.total_seconds += seconds;
       r.min_seconds = std::min(r.min_seconds, seconds);
       r.max_seconds = std::max(r.max_seconds, seconds);
+    } else if (s.event > 0 && s.event < ORCA_EVENT_EXT_LAST) {
+      if (collector::is_begin_event(event)) {
+        thread_of(s).begin[s.event] = {s.ticks, true};
+        continue;
+      }
+      const int b = begin_of[s.event];
+      if (b == 0) continue;
+      Thread& t = thread_of(s);
+      if (!t.begin[b].open) continue;  // unpaired end (attached mid-run)
+      t.begin[b].open = false;
+      ++t.intervals[b];
+      t.seconds[b] += counter.to_seconds(s.ticks - t.begin[b].ticks);
     }
   }
   report.regions.reserve(regions.size());
@@ -268,36 +320,20 @@ Report analyze_samples(std::span<const perf::EventSample> samples,
               return a.region_id < b.region_id;
             });
 
-  // Interval metrics: pair each thread's begin/end events and aggregate
-  // time-in-construct (the "OpenMP specific performance metrics" of
-  // Sec. VI — implicit/explicit barrier time, lock wait time, ...).
-  // begin_of[end] is the begin kind an end event closes (0 = none).
-  std::array<int, ORCA_EVENT_EXT_LAST> begin_of{};
-  for (int b = ORCA_EVENT_EXT_LAST - 1; b >= 1; --b) {
-    const OMP_COLLECTORAPI_EVENT end =
-        collector::matching_end(static_cast<OMP_COLLECTORAPI_EVENT>(b));
-    if (end != OMP_EVENT_LAST) begin_of[end] = b;  // lowest begin wins
-  }
-  std::map<std::pair<int, int>, std::uint64_t> open_begin;  // (tid,ev)->tick
+  // Intervals by (begin event, gtid): threads of one gtid on several lanes
+  // add up.
   std::map<std::pair<int, int>, IntervalStats> interval_acc;
-  for (const perf::EventSample& s : samples) {
-    const auto event = static_cast<OMP_COLLECTORAPI_EVENT>(s.event);
-    if (event == OMP_EVENT_FORK || event == OMP_EVENT_JOIN) continue;
-    if (collector::is_begin_event(event)) {
-      open_begin[{s.tid, s.event}] = s.ticks;
-      continue;
+  for (const std::vector<Thread>& tids : lanes) {
+    for (const Thread& t : tids) {
+      for (int b = 1; b < ORCA_EVENT_EXT_LAST; ++b) {
+        if (t.intervals[b] == 0) continue;
+        IntervalStats& acc = interval_acc[{b, t.tid}];
+        acc.begin_event = b;
+        acc.tid = t.tid;
+        acc.intervals += t.intervals[b];
+        acc.total_seconds += t.seconds[b];
+      }
     }
-    if (s.event <= 0 || s.event >= ORCA_EVENT_EXT_LAST) continue;
-    const int b = begin_of[s.event];
-    if (b == 0) continue;
-    const auto it = open_begin.find({s.tid, b});
-    if (it == open_begin.end()) continue;  // unpaired end (attached mid-run)
-    IntervalStats& acc = interval_acc[{b, s.tid}];
-    acc.begin_event = b;
-    acc.tid = s.tid;
-    ++acc.intervals;
-    acc.total_seconds += counter.to_seconds(s.ticks - it->second);
-    open_begin.erase(it);
   }
   report.intervals.reserve(interval_acc.size());
   for (const auto& [key, acc] : interval_acc) report.intervals.push_back(acc);
@@ -318,6 +354,9 @@ Report PrototypeCollector::finalize() const {
   Report report = analyze_samples(samples, counter_);
   report.callback_invocations = callback_invocations();
   report.dropped_samples = store_->total_dropped();
+  const std::uint64_t claimed = lanes_claimed();
+  report.threads_sharing_lane =
+      claimed > store_->slots() ? claimed - store_->slots() : 0;
 
   // User-model callstack profile (the PerfSuite-extension workflow of
   // Sec. IV-F): count the join records by raw stack in place, then
@@ -370,8 +409,13 @@ std::string Report::render() const {
                 by_cost.size(), regions.size()) +
          regions_table.render();
   if (unpaired_joins != 0) {
-    out += strfmt("unpaired joins: %llu (no open fork on tid 0)\n",
+    out += strfmt("unpaired joins: %llu (no open fork on their thread)\n",
                   static_cast<unsigned long long>(unpaired_joins));
+  }
+  if (threads_sharing_lane != 0) {
+    out += strfmt(
+        "threads sharing the last sample lane: %llu (past thread_slots)\n",
+        static_cast<unsigned long long>(threads_sharing_lane));
   }
 
   if (!intervals.empty()) {

@@ -17,7 +17,6 @@
 /// offline finalize step that reconstructs the user-model profile.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -85,7 +84,9 @@ struct ToolOptions {
   /// Per-thread event-sample capacity (preallocated; overflow drops).
   std::size_t sample_capacity = 1u << 20;
 
-  /// Thread slots in the sample store (>= max gtid + 1).
+  /// Lanes in the sample store: one per OS thread that calls back during
+  /// a session (configure()/reset() to the next). Threads past this many
+  /// share the last lane, and the report counts them.
   std::size_t thread_slots = 65;
 
   perf::CounterSource counter = perf::CounterSource::kTsc;
@@ -120,10 +121,12 @@ struct Report {
   std::uint64_t callback_invocations = 0;
   std::map<int, std::uint64_t> event_counts;        ///< event -> count
   std::vector<RegionStats> regions;                 ///< by region id
-  /// JOINs on tid 0 that found no open FORK. MiniMPI rank masters all
-  /// carry gtid 0, so interleaved ranks pair a join with the other rank's
-  /// fork and leave one join unpaired per overwritten fork.
+  /// JOINs that found no open FORK on their thread (lane and gtid), e.g.
+  /// after attaching mid-region, or threads past `thread_slots` that
+  /// share a lane and a gtid.
   std::uint64_t unpaired_joins = 0;
+  /// Threads past `thread_slots` this session; they shared the last lane.
+  std::uint64_t threads_sharing_lane = 0;
   /// By samples descending, then rendered text ascending.
   std::vector<CallstackProfileEntry> callstack_profile;
   std::vector<IntervalStats> intervals;             ///< per (event, tid)
@@ -136,10 +139,6 @@ struct Report {
 /// total_events, event_counts, regions, unpaired_joins and intervals.
 Report analyze_samples(std::span<const perf::EventSample> samples,
                        const perf::HwTimeCounter& counter);
-
-/// Callback-counter slots: each thread counts into its own cache line
-/// (threads beyond this many share slots, still atomically).
-inline constexpr std::size_t kCallbackCounterSlots = 64;
 
 /// Nesting depth the small-region filter tracks per thread; joins of
 /// regions nested deeper are never filtered.
@@ -192,6 +191,11 @@ class PrototypeCollector {
   /// Callbacks entered so far (counted independently of stored samples).
   std::uint64_t callback_invocations() const noexcept;
 
+  /// Threads that took a lane since the last configure()/reset().
+  std::uint64_t lanes_claimed() const noexcept {
+    return next_lane_.load(std::memory_order_relaxed);
+  }
+
   /// Join callstacks skipped by the selective-collection filters.
   std::uint64_t callstacks_filtered() const noexcept {
     return filtered_count_.load(std::memory_order_relaxed);
@@ -202,6 +206,9 @@ class PrototypeCollector {
 
   static void event_callback(OMP_COLLECTORAPI_EVENT event);
   void on_event(OMP_COLLECTORAPI_EVENT event);
+
+  /// This thread's lane in the current session, taken on its first event.
+  std::size_t claim_lane() noexcept;
 
   /// Small-region filter bookkeeping: remember a fork on this thread's
   /// fork stack / pop the fork a join closes (0 = unknown).
@@ -220,14 +227,16 @@ class PrototypeCollector {
   alignas(kCacheLineSize) ToolOptions opts_;
   std::optional<collector::Client> client_;
   std::unique_ptr<perf::SampleStore> store_;
+  /// Callbacks counted per lane, beside the store's lanes.
+  std::vector<CachePadded<std::atomic<std::uint64_t>>> callback_counts_;
   perf::HwTimeCounter counter_;
-  /// Bumped by configure()/reset(): fork stacks of older generations are
-  /// stale and start over.
-  std::atomic<std::uint64_t> fork_generation_{1};
+  /// Bumped by configure()/reset(): lane claims and fork stacks of older
+  /// generations are stale and start over.
+  std::atomic<std::uint64_t> session_generation_{1};
 
   // Written by callbacks.
-  std::array<CachePadded<std::atomic<std::uint64_t>>, kCallbackCounterSlots>
-      callback_counts_{};
+  /// Next lane to hand out; configure()/reset() set it back to 0.
+  alignas(kCacheLineSize) std::atomic<std::uint64_t> next_lane_{0};
   alignas(kCacheLineSize) std::atomic<std::uint64_t> filtered_count_{0};
   std::atomic<std::uint64_t> join_count_{0};
   SpinLock contexts_mu_;

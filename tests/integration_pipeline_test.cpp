@@ -155,12 +155,13 @@ TEST(Pipeline, MzPerRankCollectorsObserveAllRegions) {
   EXPECT_EQ(counts[OMP_EVENT_FORK], result.total_calls);
   EXPECT_EQ(counts[OMP_EVENT_JOIN], result.total_calls);
 
-  // Both rank masters are gtid 0: the report pairs each join with the
-  // last fork on tid 0 and counts the joins left without one.
+  // Both rank masters are gtid 0, but each writes a lane of its own: the
+  // report pairs every join with its own rank's fork.
   const auto report = tool.finalize();
   std::uint64_t paired = 0;
   for (const auto& region : report.regions) paired += region.invocations;
-  EXPECT_EQ(paired + report.unpaired_joins, result.total_calls);
+  EXPECT_EQ(report.unpaired_joins, 0u);
+  EXPECT_EQ(paired, result.total_calls);
 }
 
 }  // namespace

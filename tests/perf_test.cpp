@@ -4,9 +4,11 @@
 
 #include <pthread.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,7 +46,7 @@ TEST(HwTimeCounter, MonotonicAndCalibrated) {
 TEST(SampleLane, RecordsUntilCapThenDropsAndClearsStaleCells) {
   SampleLane lane(10);
   for (int i = 0; i < 15; ++i) {
-    lane.record({static_cast<std::uint64_t>(i), 0, 1, 0});
+    lane.record({.ticks = static_cast<std::uint64_t>(i), .event = 1});
   }
   EXPECT_EQ(lane.size(), 10u);
   EXPECT_EQ(lane.dropped(), 5u);
@@ -54,7 +56,7 @@ TEST(SampleLane, RecordsUntilCapThenDropsAndClearsStaleCells) {
   EXPECT_EQ(lane.dropped(), 0u);
   // The cells still hold the first run's samples; none may resurface.
   for (int i = 0; i < 3; ++i) {
-    lane.record({static_cast<std::uint64_t>(100 + i), 0, 2, 0});
+    lane.record({.ticks = static_cast<std::uint64_t>(100 + i), .event = 2});
   }
   std::vector<std::uint64_t> ticks;
   lane.for_each([&](const EventSample& s) { ticks.push_back(s.ticks); });
@@ -69,7 +71,9 @@ TEST(SampleLane, ConcurrentWritersOnOneLaneLoseNothing) {
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&lane, w] {
-      for (std::uint64_t i = 0; i < kPerWriter; ++i) lane.record({i, 0, 1, w});
+      for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+        lane.record({.ticks = i, .event = 1, .tid = w});
+      }
     });
   }
   for (auto& t : writers) t.join();
@@ -88,7 +92,7 @@ SampleLane* g_signal_lane = nullptr;
 std::atomic<std::uint64_t> g_signal_records{0};
 
 void record_from_signal(int) {
-  g_signal_lane->record({0, 0, 2, 0});
+  g_signal_lane->record({.event = 2});
   g_signal_records.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -113,7 +117,7 @@ TEST(SampleLane, SignalReentryOnTheWritingThreadLosesNothing) {
     while (loop_records < kMaxLoop &&
            (loop_records < kMinLoop ||
             g_signal_records.load(std::memory_order_relaxed) < 100)) {
-      lane.record({loop_records++, 0, 1, 0});
+      lane.record({.ticks = loop_records++, .event = 1});
     }
     done.store(true);
   });
@@ -141,7 +145,7 @@ TEST(SampleLane, ReaderSeesOnlyPublishedCellsWhileWritersRun) {
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       for (std::uint64_t i = 1; i <= kPerWriter; ++i) {
-        lane.record({i, i ^ kTag, 1, w});
+        lane.record({.ticks = i, .region_id = i ^ kTag, .event = 1, .tid = w});
       }
       running.fetch_sub(1);
     });
@@ -163,22 +167,25 @@ TEST(SampleLane, ReaderSeesOnlyPublishedCellsWhileWritersRun) {
 
 TEST(SampleStore, MergesAcrossThreadsSortedByTicks) {
   SampleStore store(4, 100);
-  store.buffer(0).record({30, 0, 1, 0});
-  store.buffer(2).record({10, 0, 1, 2});
-  store.buffer(1).record({20, 0, 2, 1});
+  store.buffer(0).record({.ticks = 30, .event = 1, .tid = 0});
+  store.buffer(2).record({.ticks = 10, .event = 1, .tid = 2});
+  store.buffer(1).record({.ticks = 20, .event = 2, .tid = 1});
   const auto merged = store.merged_samples();
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].ticks, 10u);
   EXPECT_EQ(merged[1].ticks, 20u);
   EXPECT_EQ(merged[2].ticks, 30u);
+  EXPECT_EQ(merged[0].lane, 2u);  // stamped with the slot it came from
+  EXPECT_EQ(merged[1].lane, 1u);
+  EXPECT_EQ(merged[2].lane, 0u);
   EXPECT_EQ(store.total_samples(), 3u);
   EXPECT_EQ(store.total_dropped(), 0u);
 }
 
 TEST(SampleStore, TidClampingAndCallstacks) {
   SampleStore store(2, 10);
-  store.buffer(99).record({1, 0, 1, 99});  // clamps to last slot
-  store.buffer(-3).record({2, 0, 1, -3});  // clamps to slot 0
+  store.buffer(99).record({.ticks = 1, .event = 1, .tid = 99});  // last slot
+  store.buffer(-3).record({.ticks = 2, .event = 1, .tid = -3});  // slot 0
   EXPECT_EQ(store.total_samples(), 2u);
 
   CallstackRecord rec;
@@ -199,12 +206,86 @@ TEST(SampleStore, TidClampingAndCallstacks) {
   EXPECT_TRUE(store.merged_callstacks().empty());
 }
 
+/// What merged_samples() must equal: every lane's samples, lane by lane,
+/// stamped with their lane, then stable-sorted by tick.
+std::vector<EventSample> stable_sorted_concat(
+    const std::vector<std::vector<EventSample>>& lanes) {
+  std::vector<EventSample> out;
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    for (EventSample s : lanes[i]) {
+      s.lane = static_cast<std::uint16_t>(i);
+      out.push_back(s);
+    }
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const EventSample& a, const EventSample& b) {
+                     return a.ticks < b.ticks;
+                   });
+  return out;
+}
+
+void expect_same_samples(const std::vector<EventSample>& got,
+                         const std::vector<EventSample>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].ticks, want[i].ticks) << "at " << i;
+    EXPECT_EQ(got[i].region_id, want[i].region_id) << "at " << i;
+    EXPECT_EQ(got[i].event, want[i].event) << "at " << i;
+    EXPECT_EQ(got[i].lane, want[i].lane) << "at " << i;
+    EXPECT_EQ(got[i].tid, want[i].tid) << "at " << i;
+  }
+}
+
+TEST(SampleStore, MergeEqualsStableSortOfTheConcatenation) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    constexpr std::size_t kLanes = 7;
+    SampleStore store(kLanes, 4096);
+    std::vector<std::vector<EventSample>> lanes(kLanes);
+    std::uint64_t serial = 0;  // region_id: tells equal-tick samples apart
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      if (lane == 2 || lane == 5) continue;  // empty lanes
+      const std::size_t n = 1 + rng() % 600;
+      std::uint64_t ticks = rng() % 8;
+      for (std::size_t i = 0; i < n; ++i) {
+        // Few distinct ticks, so lanes tie often; lane 3 is out of order.
+        ticks = lane == 3 ? rng() % 64 : ticks + rng() % 3;
+        const EventSample s{.ticks = ticks,
+                            .region_id = serial++,
+                            .event = static_cast<std::int16_t>(1 + rng() % 4),
+                            .tid = static_cast<std::int32_t>(lane)};
+        lanes[lane].push_back(s);
+        store.buffer(static_cast<int>(lane)).record(s);
+      }
+    }
+    expect_same_samples(store.merged_samples(), stable_sorted_concat(lanes));
+  }
+}
+
+TEST(SampleStore, MergeOfOneLaneOrNoneIsThatLane) {
+  SampleStore store(3, 64);
+  EXPECT_TRUE(store.merged_samples().empty());
+  std::vector<std::vector<EventSample>> lanes(3);
+  for (const std::uint64_t ticks : {5u, 3u, 3u, 9u, 1u}) {  // unsorted
+    const EventSample s{.ticks = ticks,
+                        .region_id = lanes[1].size(),
+                        .event = 1,
+                        .tid = 1};
+    lanes[1].push_back(s);
+    store.buffer(1).record(s);
+  }
+  expect_same_samples(store.merged_samples(), stable_sorted_concat(lanes));
+}
+
 TEST(Trace, BinaryRoundTrip) {
   TraceData data;
   for (int i = 0; i < 100; ++i) {
-    data.samples.push_back({static_cast<std::uint64_t>(i * 10),
-                            static_cast<std::uint64_t>(i % 7),
-                            i % 5, i % 3});
+    data.samples.push_back({.ticks = static_cast<std::uint64_t>(i * 10),
+                            .region_id = static_cast<std::uint64_t>(i % 7),
+                            .event = static_cast<std::int16_t>(i % 5),
+                            .lane = static_cast<std::uint16_t>(i % 2),
+                            .tid = i % 3});
   }
   data.callstacks.push_back(
       {42, 3, reinterpret_cast<const void*>(0xABC),
@@ -218,12 +299,44 @@ TEST(Trace, BinaryRoundTrip) {
   ASSERT_EQ(loaded.samples.size(), data.samples.size());
   EXPECT_EQ(loaded.samples[50].ticks, data.samples[50].ticks);
   EXPECT_EQ(loaded.samples[50].event, data.samples[50].event);
+  EXPECT_EQ(loaded.samples[51].lane, data.samples[51].lane);
+  EXPECT_EQ(loaded.samples[52].tid, data.samples[52].tid);
   ASSERT_EQ(loaded.callstacks.size(), 1u);
   EXPECT_EQ(loaded.callstacks[0].region_fn,
             reinterpret_cast<const void*>(0xABC));
   ASSERT_EQ(loaded.callstacks[0].frames.size(), 2u);
   EXPECT_EQ(loaded.callstacks[0].frames[1],
             reinterpret_cast<const void*>(0x2));
+  std::remove(path.c_str());
+}
+
+TEST(Trace, SamplesWrittenBeforeLanesReadAsLaneZero) {
+  // The sample layout before lanes: a 32-bit event where event and lane
+  // now sit.
+  struct OldSample {
+    std::uint64_t ticks;
+    std::uint64_t region_id;
+    std::int32_t event;
+    std::int32_t tid;
+  };
+  const std::string path = temp_path("prelane.orcatrc");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const std::uint64_t counts[2] = {2, 0};  // samples, callstacks
+  const OldSample old[2] = {{10, 7, 2, 0}, {20, 0, 8, 3}};
+  std::fwrite("ORCATRC1", 1, 8, f);
+  std::fwrite(counts, sizeof(counts), 1, f);
+  std::fwrite(old, sizeof(old), 1, f);
+  std::fclose(f);
+
+  TraceData loaded;
+  ASSERT_TRUE(read_trace(path, &loaded));
+  ASSERT_EQ(loaded.samples.size(), 2u);
+  EXPECT_EQ(loaded.samples[0].region_id, 7u);
+  EXPECT_EQ(loaded.samples[0].event, 2);
+  EXPECT_EQ(loaded.samples[1].event, 8);
+  EXPECT_EQ(loaded.samples[1].tid, 3);
+  for (const EventSample& s : loaded.samples) EXPECT_EQ(s.lane, 0u);
   std::remove(path.c_str());
 }
 
@@ -244,7 +357,9 @@ TEST(Trace, RejectsMissingAndMalformedFiles) {
 
 TEST(Trace, CsvExport) {
   const std::string path = temp_path("samples.csv");
-  ASSERT_TRUE(write_csv(path, {{100, 5, 1, 2}, {200, 6, 2, 3}}));
+  ASSERT_TRUE(write_csv(
+      path, {{.ticks = 100, .region_id = 5, .event = 1, .tid = 2},
+             {.ticks = 200, .region_id = 6, .event = 2, .tid = 3}}));
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
   char line[128];

@@ -7,10 +7,12 @@
 
 #include <cstdio>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "collector/names.hpp"
 #include "perf/trace.hpp"
+#include "runtime/ompc_api.h"
 #include "runtime/runtime.hpp"
 #include "tool/client2.hpp"
 #include "tool/collector_tool.hpp"
@@ -194,11 +196,12 @@ TEST(PrototypeTool, TraceSpillRoundTrip) {
 using orca::perf::EventSample;
 
 EventSample sample(std::uint64_t ticks, int event, int tid,
-                   std::uint64_t region_id = 0) {
+                   std::uint64_t region_id = 0, std::uint16_t lane = 0) {
   EventSample s;
   s.ticks = ticks;
   s.region_id = region_id;
-  s.event = event;
+  s.event = static_cast<std::int16_t>(event);
+  s.lane = lane;
   s.tid = tid;
   return s;
 }
@@ -221,23 +224,39 @@ TEST(AnalyzeSamples, SequentialMastersPairEveryJoin) {
   EXPECT_EQ(report.render().find("unpaired joins"), std::string::npos);
 }
 
-TEST(AnalyzeSamples, InterleavedMastersOnTidZeroLeaveUnpairedJoins) {
-  // Two MiniMPI rank masters, both gtid 0, whose regions overlap: rank B's
-  // fork overwrites rank A's, A's join pairs with B's fork, and B's join
-  // finds no open fork.
+TEST(AnalyzeSamples, InterleavedMastersOnTwoLanesPairTheirOwnForks) {
+  // Two MiniMPI rank masters, both gtid 0, whose regions overlap. Each has
+  // a lane of its own, so each join pairs with its own rank's fork.
   const std::vector<EventSample> samples = {
-      sample(100, OMP_EVENT_FORK, 0),     // rank A
-      sample(150, OMP_EVENT_FORK, 0),     // rank B
-      sample(400, OMP_EVENT_JOIN, 0, 1),  // rank A
-      sample(450, OMP_EVENT_JOIN, 0, 2),  // rank B
+      sample(100, OMP_EVENT_FORK, 0, 0, /*lane=*/0),  // rank A
+      sample(150, OMP_EVENT_FORK, 0, 0, /*lane=*/1),  // rank B
+      sample(400, OMP_EVENT_JOIN, 0, 1, /*lane=*/0),  // rank A
+      sample(450, OMP_EVENT_JOIN, 0, 2, /*lane=*/1),  // rank B
   };
   const Report report = orca::tool::analyze_samples(samples, kNanoseconds);
   EXPECT_EQ(report.event_counts.at(OMP_EVENT_JOIN), 2u);
+  EXPECT_EQ(report.unpaired_joins, 0u);
+  ASSERT_EQ(report.regions.size(), 2u);
+  EXPECT_EQ(report.regions[0].region_id, 1u);
+  EXPECT_DOUBLE_EQ(report.regions[0].total_seconds, 300e-9);
+  EXPECT_EQ(report.regions[1].region_id, 2u);
+  EXPECT_DOUBLE_EQ(report.regions[1].total_seconds, 300e-9);
+  EXPECT_EQ(report.render().find("unpaired joins"), std::string::npos);
+}
+
+TEST(AnalyzeSamples, JoinWithoutAForkOnItsLaneIsUnpaired) {
+  // Rank B's lane never saw its fork (attached mid-region): rank A's open
+  // fork on another lane must not close it.
+  const std::vector<EventSample> samples = {
+      sample(100, OMP_EVENT_FORK, 0, 0, /*lane=*/0),
+      sample(200, OMP_EVENT_JOIN, 0, 2, /*lane=*/1),
+      sample(400, OMP_EVENT_JOIN, 0, 1, /*lane=*/0),
+  };
+  const Report report = orca::tool::analyze_samples(samples, kNanoseconds);
   EXPECT_EQ(report.unpaired_joins, 1u);
   ASSERT_EQ(report.regions.size(), 1u);
   EXPECT_EQ(report.regions[0].region_id, 1u);
-  // A's join minus B's fork.
-  EXPECT_DOUBLE_EQ(report.regions[0].total_seconds, 250e-9);
+  EXPECT_DOUBLE_EQ(report.regions[0].total_seconds, 300e-9);
   EXPECT_NE(report.render().find("unpaired joins: 1 "), std::string::npos);
 }
 
@@ -267,6 +286,105 @@ TEST(AnalyzeSamples, IntervalsPairEachEndWithItsBeginPerThread) {
   EXPECT_EQ(report.intervals[2].begin_event, OMP_EVENT_THR_BEGIN_LKWT);
   EXPECT_EQ(report.intervals[2].tid, 1);
   EXPECT_DOUBLE_EQ(report.intervals[2].total_seconds, 25e-9);
+}
+
+// --- lanes: one per OS thread per session ----------------------------------
+
+/// Runs `fn` on `n` threads at once, each inside a one-thread runtime of
+/// its own, so every thread is gtid 0 (like MiniMPI rank masters).
+template <typename Fn>
+void on_rank_masters(int n, Fn fn) {
+  std::vector<std::thread> threads;
+  for (int i = 0; i < n; ++i) {
+    threads.emplace_back([fn, i] {
+      RuntimeConfig cfg;
+      cfg.num_threads = 1;
+      Runtime rt(cfg);
+      Runtime::make_current(&rt);
+      fn(i);
+      Runtime::make_current(nullptr);
+    });
+  }
+  for (auto& t : threads) t.join();
+}
+
+ToolOptions samples_only(std::size_t thread_slots) {
+  ToolOptions opts;
+  opts.record_callstacks = false;
+  opts.query_region_ids = false;
+  opts.thread_slots = thread_slots;
+  return opts;
+}
+
+TEST(PrototypeLanes, ThreadsSharingGtidZeroGetLanesOfTheirOwn) {
+  auto& tool = PrototypeCollector::instance();
+  tool.configure(samples_only(65));
+  tool.reset();
+  constexpr int kEvents = 2000;
+  // Thread i emits only event kinds[i], so a lane's kinds show its writer.
+  constexpr OMP_COLLECTORAPI_EVENT kinds[2] = {OMP_EVENT_THR_BEGIN_IBAR,
+                                               OMP_EVENT_THR_END_IBAR};
+  on_rank_masters(2, [&](int i) {
+    EXPECT_EQ(__ompc_get_global_thread_num(), 0);
+    for (int e = 0; e < kEvents; ++e) {
+      PrototypeCollector::raw_callback()(kinds[i]);
+    }
+  });
+
+  EXPECT_EQ(tool.lanes_claimed(), 2u);
+  EXPECT_EQ(tool.callback_invocations(), 2u * kEvents);
+  std::map<int, std::map<int, int>> by_lane;  // lane -> event -> count
+  for (const EventSample& s : tool.trace_data().samples) {
+    EXPECT_EQ(s.tid, 0);
+    ++by_lane[s.lane][s.event];
+  }
+  ASSERT_EQ(by_lane.size(), 2u);
+  for (const auto& [lane, events] : by_lane) {
+    ASSERT_EQ(events.size(), 1u) << "lane " << lane << " has two writers";
+    EXPECT_EQ(events.begin()->second, kEvents);
+  }
+  EXPECT_NE(by_lane[0].begin()->first, by_lane[1].begin()->first);
+  const Report report = tool.finalize();
+  EXPECT_EQ(report.threads_sharing_lane, 0u);
+  EXPECT_EQ(report.render().find("sharing the last"), std::string::npos);
+  tool.configure(ToolOptions{});
+  tool.reset();
+}
+
+TEST(PrototypeLanes, ThreadsPastThreadSlotsShareTheLastLaneAndAreCounted) {
+  auto& tool = PrototypeCollector::instance();
+  tool.configure(samples_only(2));
+  tool.reset();
+  constexpr int kThreads = 4;
+  constexpr int kEvents = 500;
+  on_rank_masters(kThreads, [](int) {
+    for (int e = 0; e < kEvents; ++e) {
+      PrototypeCollector::raw_callback()(OMP_EVENT_THR_BEGIN_IBAR);
+    }
+  });
+
+  EXPECT_EQ(tool.lanes_claimed(), static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(tool.callback_invocations(),
+            static_cast<std::uint64_t>(kThreads * kEvents));
+  const Report report = tool.finalize();
+  EXPECT_EQ(report.total_events,
+            static_cast<std::uint64_t>(kThreads * kEvents));
+  EXPECT_EQ(report.dropped_samples, 0u);
+  EXPECT_EQ(report.threads_sharing_lane, 2u);
+  EXPECT_NE(report.render().find("threads sharing the last sample lane: 2 "),
+            std::string::npos);
+  std::map<int, int> per_lane;
+  for (const EventSample& s : tool.trace_data().samples) ++per_lane[s.lane];
+  ASSERT_EQ(per_lane.size(), 2u);
+  EXPECT_EQ(per_lane[0], kEvents);
+  EXPECT_EQ(per_lane[1], (kThreads - 1) * kEvents);
+
+  // A new session hands the lanes out again from the first.
+  tool.reset();
+  EXPECT_EQ(tool.lanes_claimed(), 0u);
+  EXPECT_EQ(tool.finalize().threads_sharing_lane, 0u);
+  tool.configure(ToolOptions{});
+  tool.reset();
 }
 
 TEST(Tracer, EventOrderingInvariants) {

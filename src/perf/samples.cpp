@@ -126,8 +126,10 @@ void SampleStore::record_callstack(int tid, CallstackRecord record) {
 std::vector<EventSample> SampleStore::merged_samples() const {
   // One writer per lane, so each lane is (nearly always) already a sorted
   // run: merge the runs rather than sort the whole.
+  std::size_t claimed = 0;
+  for (const auto& lane : lanes_) claimed += (*lane)->claimed();
   std::vector<EventSample> out;
-  out.reserve(total_samples());
+  out.reserve(claimed);
   std::vector<std::size_t> bounds = {0};
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     const auto lane = static_cast<std::uint16_t>(i);

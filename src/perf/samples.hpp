@@ -109,6 +109,12 @@ class SampleLane {
     return for_each([](const EventSample&) {});
   }
 
+  /// Claimed cells, published or not: a bound on size() that reads no cell.
+  std::size_t claimed() const noexcept {
+    return static_cast<std::size_t>(std::min<std::uint64_t>(
+        tail_.load(std::memory_order_relaxed), capacity_));
+  }
+
   std::uint64_t dropped() const noexcept {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     return tail > capacity_ ? tail - capacity_ : 0;

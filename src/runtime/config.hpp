@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/env.hpp"
+#include "common/ring.hpp"
 #include "runtime/barrier.hpp"
 
 namespace orca::rt {
@@ -35,12 +36,8 @@ enum class EventDelivery {
 };
 
 /// What an application thread does when its event ring is full
-/// (EventDelivery::kAsync only).
-enum class EventBackpressure {
-  kBlock,            ///< wait for the drainer (lossless, can stall)
-  kDropNewest,       ///< shed the incoming event, count it
-  kOverwriteOldest,  ///< evict the oldest undelivered event, count it
-};
+/// (EventDelivery::kAsync only): the ring's own overflow policy.
+using EventBackpressure = ring::Backpressure;
 
 /// What collection does in a fork()ed child process
 /// (ORCA_FORK_MODE=disable|rearm; docs/RESILIENCE.md).

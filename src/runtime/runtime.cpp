@@ -88,22 +88,6 @@ collector::EventCapabilities capabilities_for(const RuntimeConfig& cfg) {
 
 }  // namespace
 
-namespace {
-
-collector::Backpressure to_collector_policy(EventBackpressure p) noexcept {
-  switch (p) {
-    case EventBackpressure::kDropNewest:
-      return collector::Backpressure::kDropNewest;
-    case EventBackpressure::kOverwriteOldest:
-      return collector::Backpressure::kOverwriteOldest;
-    case EventBackpressure::kBlock:
-      break;
-  }
-  return collector::Backpressure::kBlock;
-}
-
-}  // namespace
-
 Runtime::Runtime(RuntimeConfig cfg)
     : config_(cfg),
       registry_(capabilities_for(cfg)),
@@ -135,8 +119,7 @@ Runtime::Runtime(RuntimeConfig cfg)
   if (config_.event_delivery == EventDelivery::kAsync) {
     async_ = std::make_unique<collector::AsyncDispatcher>(
         registry_, static_cast<std::size_t>(config_.max_threads) + 1,
-        config_.event_ring_capacity,
-        to_collector_policy(config_.event_backpressure));
+        config_.event_ring_capacity, config_.event_backpressure);
     // Installed before any event can fire; the drainer itself starts
     // lazily on OMP_REQ_START (provider_lifecycle) so uninstrumented runs
     // never pay for the extra thread.

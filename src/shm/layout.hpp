@@ -18,29 +18,10 @@
 ///   [TelemetryMirror]                     seqlock'd metrics snapshot
 ///   [CrashRegion + text bytes]            shm-resident crash-dump section
 ///
-/// ## Ring protocol: single-producer broadcast, non-destructive reads
+/// ## Ring protocol
 ///
-/// The in-process EventRing (collector/async.hpp) is a Vyukov MPMC queue:
-/// consumers *claim* cells with CAS. That protocol is wrong across a
-/// process boundary — a reader that dies between claiming a cell and
-/// stamping it consumed would wedge the producer's overwrite path forever.
-/// Here the producer is the only writer and readers are invisible to it:
-///
-///   push(rec):  pos = tail.fetch_add(1)            (claim, wait-free)
-///               cell.seq = 0                        (invalidate)
-///               cell.{ns,a,b} = rec                 (relaxed payload)
-///               cell.seq = pos + 1                  (release publish)
-///
-///   poll(cur):  accept cell only when seq == cur+1 before *and* after
-///               copying the payload (seqlock validation); a reader that
-///               fell behind computes its loss from the published tail
-///               (lost = (tail - capacity) - cur) and jumps forward.
-///
-/// A crashed reader costs nothing; a crashed producer leaves at most one
-/// mid-write cell per ring, which readers skip and count as lost. Every
-/// store on the push path is a plain release store (free on x86/TSO), so
-/// the hook stays signal-safe — the SIGPROF sampler publishes through the
-/// same path.
+/// common/ring.hpp's, placed here: the producer laps (`ring_push`) and
+/// never looks at its readers. `Record::ns` is a SteadyClock stamp.
 ///
 /// ## Attach / heartbeat handshake
 ///
@@ -58,6 +39,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/ring.hpp"
+
 namespace orca::shm {
 
 /// "ORCASHM1" little-endian; bump the trailing digit on layout breaks.
@@ -71,50 +54,17 @@ enum class ProducerState : std::uint32_t {
   kFinalized = 2,     ///< clean shutdown: rings quiescent, totals final
 };
 
-static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
-              "shm layout needs address-free 64-bit atomics");
 static_assert(std::atomic<std::uint32_t>::is_always_lock_free,
               "shm layout needs address-free 32-bit atomics");
 
-/// One decoded ring record, as the reader hands it out.
-struct Record {
-  std::uint64_t ns = 0;   ///< producer SteadyClock (CLOCK_MONOTONIC) stamp
-  std::int32_t event = 0; ///< OMP_COLLECTORAPI_EVENT, or sampler state
-  std::int32_t tid = 0;   ///< producer thread slot (gtid)
-  std::uint64_t arg = 0;  ///< sampler: current region id; events: unused
-};
-
-/// One 32-byte broadcast cell. Payload fields are atomics with relaxed
-/// ordering (not a seqlock over plain memory) so the cross-process torn
-/// read is defined behaviour and TSan-clean in the in-process tests.
-struct RingCell {
-  std::atomic<std::uint64_t> seq;  ///< 0 = mid-write, pos+1 = holds pos
-  std::atomic<std::uint64_t> ns;
-  std::atomic<std::uint64_t> a;    ///< packed (event << 32) | u32(tid)
-  std::atomic<std::uint64_t> b;    ///< arg
-};
-static_assert(sizeof(RingCell) == 32, "cell layout is part of the ABI");
-
-/// Per-ring producer bookkeeping, one cacheline so producers on different
-/// thread slots never false-share.
-struct alignas(64) RingHeader {
-  std::atomic<std::uint64_t> tail;  ///< next position to claim == produced
-  std::uint64_t pad_[7];
-};
-static_assert(sizeof(RingHeader) == 64);
-
-inline std::uint64_t pack_event(std::int32_t event, std::int32_t tid) noexcept {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(event)) << 32) |
-         static_cast<std::uint32_t>(tid);
-}
-
-inline std::int32_t packed_event(std::uint64_t a) noexcept {
-  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a >> 32));
-}
-
-inline std::int32_t packed_tid(std::uint64_t a) noexcept {
-  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a));
-}
+using ring::Cursor;
+using ring::cursor_finalize;
+using ring::Poll;
+using ring::Record;
+using ring::ring_poll;
+using ring::ring_push;
+using ring::RingCell;
+using ring::RingHeader;
 
 // ---------------------------------------------------------------------------
 // Telemetry mirror: a seqlock'd copy of the producer's metrics counters,
@@ -256,98 +206,5 @@ struct Geometry {
     return (n + 63) & ~std::uint64_t{63};
   }
 };
-
-// ---------------------------------------------------------------------------
-// Producer side: wait-free broadcast push. `mask = capacity - 1`.
-
-inline void ring_push(RingHeader& h, RingCell* cells, std::uint64_t mask,
-                      const Record& rec) noexcept {
-  const std::uint64_t pos = h.tail.fetch_add(1, std::memory_order_relaxed);
-  RingCell& c = cells[pos & mask];
-  // Release stores throughout: the invalidation (seq = 0) must become
-  // visible no later than the payload, or a reader could revalidate a
-  // stale seq against a half-new payload. On x86 these are plain stores.
-  c.seq.store(0, std::memory_order_release);
-  c.ns.store(rec.ns, std::memory_order_release);
-  c.a.store(pack_event(rec.event, rec.tid), std::memory_order_release);
-  c.b.store(rec.arg, std::memory_order_release);
-  c.seq.store(pos + 1, std::memory_order_release);
-}
-
-// ---------------------------------------------------------------------------
-// Reader side: private cursor + honest loss book.
-
-/// One reader's position in one ring. Readers never write to the segment,
-/// so any number of cursors can watch the same ring — but one cursor must
-/// only ever be advanced by one thread at a time.
-struct Cursor {
-  std::uint64_t next = 0;  ///< position of the next record to read
-  std::uint64_t read = 0;  ///< records successfully copied out
-  std::uint64_t lost = 0;  ///< records overwritten before we got to them
-};
-
-enum class Poll {
-  kEmpty,   ///< nothing new (or the next cell is mid-write; retry later)
-  kRecord,  ///< *out holds the record at the old cursor position
-  kLost,    ///< fell behind; loss was counted and the cursor resynced
-};
-
-inline Poll ring_poll(const RingHeader& h, const RingCell* cells,
-                      std::uint64_t mask, std::uint64_t capacity, Cursor& cur,
-                      Record* out) noexcept {
-  const std::uint64_t tail = h.tail.load(std::memory_order_acquire);
-  if (cur.next >= tail) return Poll::kEmpty;
-  if (tail > capacity && cur.next < tail - capacity) {
-    // The producer lapped us: everything up to tail - capacity is gone.
-    const std::uint64_t oldest = tail - capacity;
-    cur.lost += oldest - cur.next;
-    cur.next = oldest;
-  }
-  const RingCell& c = cells[cur.next & mask];
-  const std::uint64_t s1 = c.seq.load(std::memory_order_acquire);
-  if (s1 != cur.next + 1) {
-    if (s1 > cur.next + 1) {
-      // Overwritten between the tail check and here; resync forward.
-      const std::uint64_t now_holds = s1 - 1;       // position in the cell
-      const std::uint64_t oldest = now_holds >= capacity
-                                       ? now_holds - capacity + 1
-                                       : 0;
-      const std::uint64_t jump = oldest > cur.next ? oldest : cur.next + 1;
-      cur.lost += jump - cur.next;
-      cur.next = jump;
-      return Poll::kLost;
-    }
-    // seq is 0 (mid-write) or a previous lap's stamp: the producer claimed
-    // this position but has not finished publishing it. Retry later.
-    return Poll::kEmpty;
-  }
-  out->ns = c.ns.load(std::memory_order_relaxed);
-  const std::uint64_t a = c.a.load(std::memory_order_relaxed);
-  out->arg = c.b.load(std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_acquire);
-  if (c.seq.load(std::memory_order_relaxed) != s1) {
-    // Torn: the producer lapped us mid-copy. Count it and move on.
-    cur.lost += 1;
-    cur.next += 1;
-    return Poll::kLost;
-  }
-  out->event = packed_event(a);
-  out->tid = packed_tid(a);
-  cur.next += 1;
-  cur.read += 1;
-  return Poll::kRecord;
-}
-
-/// After the producer is known dead/finalized and a drain pass made no
-/// progress, charge whatever is still unread (at most one mid-write cell
-/// per ring, plus anything the tail claims) to the loss book so
-/// produced == read + lost holds exactly.
-inline void cursor_finalize(const RingHeader& h, Cursor& cur) noexcept {
-  const std::uint64_t tail = h.tail.load(std::memory_order_acquire);
-  if (cur.next < tail) {
-    cur.lost += tail - cur.next;
-    cur.next = tail;
-  }
-}
 
 }  // namespace orca::shm

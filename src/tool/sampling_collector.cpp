@@ -216,15 +216,6 @@ std::size_t SamplingCollector::pump(
   return pumped;
 }
 
-std::vector<perf::EventSample> SamplingCollector::merged_samples() const {
-  auto merged = pipeline::collect<perf::EventSample>("samples");
-  pump(merged);
-  return merged->sorted(
-      [](const perf::EventSample& a, const perf::EventSample& b) {
-        return a.ticks < b.ticks;
-      });
-}
-
 std::vector<pipeline::AggregateRow> SamplingCollector::region_report(
     std::size_t max_regions) const {
   // Assembly: delta (tick gap to the lane's previous sample; lanes are

@@ -91,10 +91,6 @@ class SamplingCollector {
   /// after stop(); the lanes are not consumed (pump again as needed).
   std::size_t pump(const pipeline::StagePtr<perf::EventSample>& head) const;
 
-  /// All samples across lanes, ordered by tick — a collect-stage assembly
-  /// over pump(). Quiescent-side: call after stop().
-  std::vector<perf::EventSample> merged_samples() const;
-
   /// Per-region CPU-time sketches: samples flow through a delta stage
   /// (tick gap to the lane's previous sample ≈ CPU time charged at the
   /// sampling rate) into a bounded online aggregate keyed by region id —

@@ -120,7 +120,7 @@ enum class Counter : std::uint8_t {
   kTasksSpawned,           ///< explicit tasks submitted (deferred)
   kTasksExecuted,          ///< deferred tasks run to completion
   kCallbackFailures,       ///< async callbacks that threw
-  kRingEnqueueStalls,      ///< pushes that blocked on a full ring
+  kRingEnqueueStalls,      ///< pushes that waited for their cell
   kDrainPasses,            ///< non-empty drainer batches
   kGenerationsPublished,   ///< callback-table generations published
   kGenerationsRetired,     ///< generations freed after their grace period

@@ -15,7 +15,7 @@
 #     so the armed run lives in-process there) and the repo benchmark's
 #     python self-tests (perfbench_selftest); the default preset runs it
 #     a second time pinned to one core (taskset -c 0), the sanitizer
-#     presets run its unit label a second time pinned;
+#     presets run its unit and fleet labels a second time pinned;
 #   * the perf-smoke lane (bench_event_path --smoke): every event-delivery
 #     mode end to end in ~2s, a sanity check that the benches still run —
 #     not a performance gate.
@@ -83,10 +83,11 @@ for preset in "${presets[@]}"; do
     # both ways, whatever the CI host's core count.
     taskset -c 0 ctest --preset "$preset"
   else
-    echo "=== [$preset] ctest -L unit pinned to one core ==="
+    echo "=== [$preset] ctest -L 'unit|fleet' pinned to one core ==="
     # The sanitizers see the one-core interleavings too (parked waits,
-    # shared slots); the unit label keeps the pinned lane short.
-    taskset -c 0 ctest --preset "$preset" -L unit
+    # shared slots, orcamon's doorbell crossing from a shard to run());
+    # the unit and fleet labels keep the pinned lane short.
+    taskset -c 0 ctest --preset "$preset" -L 'unit|fleet'
   fi
 
   echo "=== [$preset] perf-smoke lane ==="

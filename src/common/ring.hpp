@@ -13,6 +13,13 @@
 ///               fell behind computes its loss from the published tail
 ///               (lost = (tail - capacity) - cur) and jumps forward.
 ///
+/// A cell of all zero bytes is an empty cell: seq 0 is no position's
+/// stamp, so a reader treats it as not yet published. Fresh zero pages
+/// therefore need no construction, and both placements rely on it:
+/// `LocalRing`'s anonymous mapping and the shm segment's fresh `O_EXCL`
+/// file never initialise their cells, so a ring nobody uses costs no
+/// memory.
+///
 /// Readers never write to the cells, so a reader that dies mid-copy never
 /// wedges the producer — the property a ring shared across processes
 /// needs. A crashed producer leaves at most one mid-write cell, which
@@ -56,7 +63,7 @@ struct Record {
 /// a seqlock over plain memory) so the cross-process torn read is defined
 /// behaviour and TSan-clean in the in-process tests.
 struct RingCell {
-  std::atomic<std::uint64_t> seq;  ///< 0 = mid-write, pos+1 = holds pos
+  std::atomic<std::uint64_t> seq;  ///< 0 = empty/mid-write, pos+1 = holds pos
   std::atomic<std::uint64_t> ns;
   std::atomic<std::uint64_t> a;    ///< packed (event << 32) | u32(tid)
   std::atomic<std::uint64_t> b;    ///< arg
@@ -204,8 +211,8 @@ struct RingStats {
 class LocalRing {
  public:
   /// Capacity rounds up to a power of two, minimum 4. The cells are fresh
-  /// zero pages (seq 0 = empty), in RSS only once written; std::bad_alloc
-  /// when the mapping fails.
+  /// zero pages (the zero-cell invariant above), in RSS only once written;
+  /// std::bad_alloc when the mapping fails.
   explicit LocalRing(std::size_t capacity) {
     const std::size_t cap = std::bit_ceil(std::max<std::size_t>(capacity, 4));
     void* mem = ::mmap(nullptr, cap * sizeof(RingCell),

@@ -146,6 +146,7 @@ Runtime::Runtime(RuntimeConfig cfg)
     sopts.label = "orca";
 #endif
     sopts.ring_count = static_cast<std::uint32_t>(config_.max_threads) + 1;
+    sopts.warm_rings = static_cast<std::uint32_t>(config_.num_threads);
     sopts.event_capacity =
         static_cast<std::uint32_t>(config_.shm_ring_capacity);
     sopts.heartbeat_ms = static_cast<std::uint32_t>(config_.shm_heartbeat_ms);

@@ -14,9 +14,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <new>
 #include <thread>
+#include <utility>
 
 #include "common/clock.hpp"
 #include "shm/layout.hpp"
@@ -57,6 +59,35 @@ struct TextCursor {
   }
 };
 
+#ifndef MADV_POPULATE_WRITE
+#define MADV_POPULATE_WRITE 23  // Linux 5.14; older kernels answer EINVAL
+#endif
+
+/// Backs the cells of rings [first, first+count) in both banks: reserves
+/// their tmpfs blocks, then prefaults them so their records take no page
+/// faults inside the regions they time. Returns 0 or the errno of the
+/// reservation (ENOSPC: /dev/shm or its memcg limit is full). The
+/// prefault is best effort: a kernel without MADV_POPULATE_WRITE answers
+/// EINVAL, and the reserved pages then map on first write.
+int back_rings(int fd, char* base, const Geometry& geo, std::uint32_t first,
+               std::uint32_t count) noexcept {
+  const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  for (const auto [cells_off, cap] :
+       {std::pair{geo.event_cells_off, geo.event_capacity},
+        std::pair{geo.sample_cells_off, geo.sample_capacity}}) {
+    const std::uint64_t ring_bytes = std::uint64_t{cap} * sizeof(RingCell);
+    const std::uint64_t off = cells_off + first * ring_bytes;
+    const std::uint64_t bytes = count * ring_bytes;
+    if (const int err = ::posix_fallocate(fd, static_cast<off_t>(off),
+                                          static_cast<off_t>(bytes))) {
+      return err;
+    }
+    const std::uint64_t begin = off & ~(page - 1);  // page-aligned start
+    ::madvise(base + begin, off + bytes - begin, MADV_POPULATE_WRITE);
+  }
+  return 0;
+}
+
 }  // namespace
 
 /// The mapped producer side of one segment. Construction maps + publishes;
@@ -87,6 +118,8 @@ class ShmExporter {
     const Geometry geo =
         Geometry::compute(opts.ring_count, opts.event_capacity,
                           opts.sample_capacity, opts.crash_capacity);
+    // Sparse: tmpfs gives the file a block only where something reserves
+    // or writes one.
     if (::ftruncate(fd, static_cast<off_t>(geo.total_bytes)) != 0) {
       std::fprintf(stderr,
                    "ORCA: shm export disabled: ftruncate(%s, %llu) failed: "
@@ -100,14 +133,39 @@ class ShmExporter {
     }
     void* base = ::mmap(nullptr, geo.total_bytes, PROT_READ | PROT_WRITE,
                         MAP_SHARED, fd, 0);
-    ::close(fd);
     if (base == MAP_FAILED) {
       std::fprintf(stderr, "ORCA: shm export disabled: mmap(%s) failed: %s\n",
                    path.c_str(), std::strerror(errno));
+      ::close(fd);
       ::shm_unlink(path.c_str());
       return nullptr;
     }
-    return new ShmExporter(opts, geo, base);
+    // Every page the producer will write is reserved before it is
+    // written, so a full /dev/shm fails here, at arm, or leaves a late
+    // ring cold (back_wanted_rings), never a SIGBUS in a publish: that
+    // runs in the application's thread or its SIGPROF handler, where no
+    // guard runs. Arm reserves the header and ring headers, the telemetry
+    // mirror and crash region, and the team's rings; ring 0 is the
+    // fallback of every cold ring, so it is always among them.
+    const std::uint32_t warm =
+        std::clamp(opts.warm_rings, std::uint32_t{1}, geo.ring_count);
+    int err = ::posix_fallocate(fd, 0, static_cast<off_t>(geo.event_cells_off));
+    if (err == 0) {
+      err = ::posix_fallocate(
+          fd, static_cast<off_t>(geo.telemetry_off),
+          static_cast<off_t>(geo.total_bytes - geo.telemetry_off));
+    }
+    if (err == 0) err = back_rings(fd, static_cast<char*>(base), geo, 0, warm);
+    if (err != 0) {
+      std::fprintf(stderr,
+                   "ORCA: shm export disabled: reserving %s failed: %s\n",
+                   path.c_str(), std::strerror(err));
+      ::munmap(base, geo.total_bytes);
+      ::close(fd);
+      ::shm_unlink(path.c_str());
+      return nullptr;
+    }
+    return new ShmExporter(opts, geo, base, fd, warm);
   }
 
   ~ShmExporter() {
@@ -132,6 +190,7 @@ class ShmExporter {
     // the unlink; only the name goes away.
     ::shm_unlink(("/" + name_).c_str());
     ::munmap(base_, geo_.total_bytes);
+    ::close(fd_);
   }
 
   const std::string& name() const noexcept { return name_; }
@@ -175,8 +234,10 @@ class ShmExporter {
   }
 
  private:
-  ShmExporter(const ExporterOptions& opts, const Geometry& geo, void* base)
-      : name_(opts.name), geo_(geo), base_(static_cast<char*>(base)) {
+  ShmExporter(const ExporterOptions& opts, const Geometry& geo, void* base,
+              int fd, std::uint32_t warm)
+      : name_(opts.name), geo_(geo), base_(static_cast<char*>(base)),
+        fd_(fd) {
     header_ = new (base_) SegmentHeader{};
     header_->magic = kMagic;
     header_->version = kVersion;
@@ -199,24 +260,19 @@ class ShmExporter {
     header_->heartbeat_interval_ms = opts.heartbeat_ms == 0
                                          ? 1
                                          : opts.heartbeat_ms;
-    // The mapping is fresh zero pages, so placement-new of the atomics in
-    // the ring headers / mirror / crash region is value-preserving; doing
-    // it anyway keeps the object model honest.
+    // The cells are never written here: fresh zero pages are empty cells
+    // (ring.hpp's zero-cell invariant), and only backed rings have pages.
     event_headers_ = new (base_ + geo.event_headers_off)
         RingHeader[geo.ring_count]{};
     sample_headers_ = new (base_ + geo.sample_headers_off)
         RingHeader[geo.ring_count]{};
-    new (base_ + geo.event_cells_off)
-        RingCell[static_cast<std::size_t>(geo.ring_count) *
-                 geo.event_capacity]{};
-    new (base_ + geo.sample_cells_off)
-        RingCell[static_cast<std::size_t>(geo.ring_count) *
-                 geo.sample_capacity]{};
     mirror_ = new (base_ + geo.telemetry_off) TelemetryMirror{};
     crash_ = new (base_ + geo.crash_off) CrashRegion{};
     crash_text_ = base_ + geo.crash_off + sizeof(CrashRegion);
     event_mask_ = geo.event_capacity - 1;
     sample_mask_ = geo.sample_capacity - 1;
+    ring_state_ = std::make_unique<std::atomic<std::uint8_t>[]>(geo.ring_count);
+    for (std::uint32_t r = 0; r < warm; ++r) ring_state_[r].store(kBacked);
 
     // Publish: everything a reader needs is in place before ready flips.
     header_->producer_state.store(
@@ -227,10 +283,32 @@ class ShmExporter {
     heartbeat_ = std::thread([this] { heartbeat_loop(); });
   }
 
-  std::uint32_t ring_for(int tid) const noexcept {
+  /// The ring a record of `tid` goes to: its own once backed, ring 0
+  /// (backed at arm) before. The first record of a cold ring asks the
+  /// heartbeat to back it. The record keeps its tid either way.
+  std::uint32_t ring_for(int tid) noexcept {
     if (tid < 0) return 0;
     const auto t = static_cast<std::uint32_t>(tid);
-    return t < geo_.ring_count ? t : geo_.ring_count - 1;
+    const std::uint32_t ring = t < geo_.ring_count ? t : geo_.ring_count - 1;
+    std::uint8_t state = ring_state_[ring].load(std::memory_order_acquire);
+    if (state == kBacked) return ring;
+    if (state == kCold) {
+      ring_state_[ring].compare_exchange_strong(state, kWanted,
+                                                std::memory_order_relaxed);
+    }
+    return 0;
+  }
+
+  /// Heartbeat side of ring_for: backs every ring a record asked for, off
+  /// the application's threads. A failed reservation (a full /dev/shm)
+  /// leaves the ring cold; its next record asks again.
+  void back_wanted_rings() noexcept {
+    for (std::uint32_t r = 0; r < geo_.ring_count; ++r) {
+      if (ring_state_[r].load(std::memory_order_relaxed) != kWanted) continue;
+      const int err = back_rings(fd_, base_, geo_, r, 1);
+      ring_state_[r].store(err == 0 ? kBacked : kCold,
+                           std::memory_order_release);
+    }
   }
 
   RingCell* event_cells(std::uint32_t ring) noexcept {
@@ -307,6 +385,7 @@ class ShmExporter {
       hb_cv_.wait_for(lk, interval, [this] { return hb_stop_; });
       if (hb_stop_) break;
       ORCA_FAULT_POINT(kHeartbeat);
+      back_wanted_rings();
       refresh_totals();
       mirror_telemetry();
       write_snapshot();
@@ -330,6 +409,12 @@ class ShmExporter {
   char* crash_text_ = nullptr;
   std::uint64_t event_mask_ = 0;
   std::uint64_t sample_mask_ = 0;
+  int fd_ = -1;  ///< kept for back_wanted_rings' reservations
+  /// Per ring: kCold (no blocks: records go to ring 0), kWanted (a record
+  /// asked the heartbeat to back it), kBacked (blocks reserved, cells
+  /// prefaulted).
+  enum : std::uint8_t { kCold, kWanted, kBacked };
+  std::unique_ptr<std::atomic<std::uint8_t>[]> ring_state_;
 
   std::thread heartbeat_;
   std::mutex hb_mu_;

@@ -32,6 +32,11 @@ struct ExporterOptions {
   std::string name;
   std::string label;                   ///< display name for fleet reports
   std::uint32_t ring_count = 65;       ///< one per thread slot (gtid)
+  /// Rings 0..warm_rings-1 (the team's gtids; ring 0 always) are backed
+  /// at arm: tmpfs blocks reserved, cells prefaulted. A record for any
+  /// other ring goes to ring 0, and the next heartbeat backs its ring.
+  /// The runtime sets its team size; the default backs every ring.
+  std::uint32_t warm_rings = UINT32_MAX;
   std::uint32_t event_capacity = 4096; ///< cells per event ring
   std::uint32_t sample_capacity = 1024;
   std::uint32_t crash_capacity = 4096; ///< crash-region text bytes

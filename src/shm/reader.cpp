@@ -246,19 +246,28 @@ ProducerState SegmentReader::producer_state() const noexcept {
 }
 
 Poll SegmentReader::poll_event(std::uint32_t ring, Record* out) noexcept {
-  return ring_poll(*ring_header(geom_.event_headers_off, ring),
-                   ring_cells(geom_.event_cells_off, ring,
-                              geom_.event_capacity),
-                   geom_.event_capacity - 1, geom_.event_capacity,
-                   event_cursors_[ring], out);
+  return poll_bank(geom_.event_headers_off, geom_.event_cells_off,
+                   geom_.event_capacity, event_cursors_[ring], ring, out);
 }
 
 Poll SegmentReader::poll_sample(std::uint32_t ring, Record* out) noexcept {
-  return ring_poll(*ring_header(geom_.sample_headers_off, ring),
-                   ring_cells(geom_.sample_cells_off, ring,
-                              geom_.sample_capacity),
-                   geom_.sample_capacity - 1, geom_.sample_capacity,
-                   sample_cursors_[ring], out);
+  return poll_bank(geom_.sample_headers_off, geom_.sample_cells_off,
+                   geom_.sample_capacity, sample_cursors_[ring], ring, out);
+}
+
+Poll SegmentReader::poll_bank(std::uint64_t headers_off,
+                              std::uint64_t cells_off, std::uint32_t capacity,
+                              Cursor& cur, std::uint32_t ring,
+                              Record* out) noexcept {
+  const RingHeader& h = *ring_header(headers_off, ring);
+  // A ring nobody published to may have no tmpfs blocks behind it (the
+  // exporter backs rings on demand), and a read fault would allocate one,
+  // or raise SIGBUS on a full /dev/shm: leave its cells alone.
+  if (cur.next == 0 && h.tail.load(std::memory_order_acquire) == 0) {
+    return Poll::kEmpty;
+  }
+  return ring_poll(h, ring_cells(cells_off, ring, capacity), capacity - 1,
+                   capacity, cur, out);
 }
 
 void SegmentReader::finalize_ring(std::uint32_t ring) noexcept {

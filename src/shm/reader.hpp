@@ -199,6 +199,9 @@ class SegmentReader {
     return reinterpret_cast<const RingCell*>(base_ + off) +
            static_cast<std::size_t>(ring) * capacity;
   }
+  Poll poll_bank(std::uint64_t headers_off, std::uint64_t cells_off,
+                 std::uint32_t capacity, Cursor& cur, std::uint32_t ring,
+                 Record* out) noexcept;
 
   std::string name_;
   const char* base_ = nullptr;

@@ -30,6 +30,10 @@ namespace {
 /// chatty ring cannot starve the shard's other assignments.
 constexpr int kLiveBatch = 1024;
 
+/// Polls per SIGBUS guard entry. Every entry takes the guard's install
+/// mutex and makes an rt_sigaction syscall, too dear to pay per record.
+constexpr int kPollBatch = 64;
+
 /// Fleet-size cap. producers_ is reserved to this in the constructor so
 /// push_back never reallocates: shard threads index the vector with only
 /// a size snapshot taken under the lock, which is sound exactly because
@@ -58,6 +62,14 @@ std::string state_display(std::int32_t code) {
       collector::to_string(static_cast<OMP_COLLECTOR_API_THR_STATE>(code));
   if (full == "?") return "state-" + std::to_string(code);
   return std::string(full);
+}
+
+/// Moves `phase` from `from` to `to`; false when another writer moved it
+/// first. Every transition goes through here (or quarantine's CAS loop),
+/// so a late writer can never move a phase backwards, say kDone back to
+/// kDraining, where exit_when_idle would wait on it forever.
+bool advance_phase(std::atomic<int>& phase, int from, int to) noexcept {
+  return phase.compare_exchange_strong(from, to, std::memory_order_acq_rel);
 }
 
 /// RAII release of a ring's busy latch.
@@ -249,7 +261,9 @@ void FleetMonitor::quarantine_producer(Producer& p,
                                        const std::string& reason) {
   int expected = p.phase.load(std::memory_order_acquire);
   for (;;) {  // first reporter wins; later trips are the same event
-    if (expected == kQuarantined) return;
+    // kDone is final too: those books are closed, a late trip changes
+    // nothing they say.
+    if (expected == kQuarantined || expected == kDone) return;
     if (p.phase.compare_exchange_weak(expected, kQuarantined,
                                       std::memory_order_acq_rel)) {
       break;
@@ -316,7 +330,7 @@ void FleetMonitor::update_liveness(std::uint64_t now_ns) {
         break;
       case shm::Liveness::kFinalized:
         p.finalized.store(true, std::memory_order_release);
-        p.phase.store(kDraining, std::memory_order_release);
+        advance_phase(p.phase, kActive, kDraining);
         break;
       case shm::Liveness::kStalled:
         // Past the hard deadline with a live pid: drain it like a death —
@@ -326,7 +340,7 @@ void FleetMonitor::update_liveness(std::uint64_t now_ns) {
         [[fallthrough]];
       case shm::Liveness::kDead:
         p.dead.store(true, std::memory_order_release);
-        p.phase.store(kDraining, std::memory_order_release);
+        advance_phase(p.phase, kActive, kDraining);
         break;
     }
   }
@@ -345,19 +359,31 @@ bool FleetMonitor::drain_ring(Producer& p, std::uint32_t ring) {
   if (phase == kQuarantined) return false;
   const bool draining = phase != kActive;
   bool progress = false;
-  shm::Record rec;
+  shm::Record batch[kPollBatch];
   for (int bank = 0; bank < 2; ++bank) {
     const bool sample = bank == 1;
     int budget = draining ? -1 : kLiveBatch;
-    while (budget != 0) {
-      if (budget > 0) --budget;
-      // Only the poll dereferences the mapping, so only the poll sits
-      // inside the guard: fork bookkeeping and the pipeline push below
-      // take locks, which guarded code must not.
-      shm::Poll poll = shm::Poll::kEmpty;
+    bool empty = false;
+    while (!empty && budget != 0) {
+      const int want = budget < 0 ? kPollBatch : std::min(budget, kPollBatch);
+      int polled = 0;  // records and loss resyncs: the budget's unit
+      int got = 0;
+      // Only the polls dereference the mapping, so only they sit inside
+      // the guard: fork bookkeeping and the pipeline push below take
+      // locks, which guarded code must not. A batch that SIGBUS cuts
+      // short goes with the quarantined segment.
       const bool ok = shm::with_sigbus_guard([&] {
-        poll = sample ? p.reader->poll_sample(ring, &rec)
-                      : p.reader->poll_event(ring, &rec);
+        while (polled < want) {
+          const shm::Poll poll =
+              sample ? p.reader->poll_sample(ring, &batch[got])
+                     : p.reader->poll_event(ring, &batch[got]);
+          if (poll == shm::Poll::kEmpty) {
+            empty = true;
+            break;
+          }
+          ++polled;
+          if (poll == shm::Poll::kRecord) ++got;  // kLost: already booked
+        }
       });
       if (!ok) {
         quarantine_producer(p, "SIGBUS while draining ring " +
@@ -365,27 +391,29 @@ bool FleetMonitor::drain_ring(Producer& p, std::uint32_t ring) {
                                    " (segment truncated)");
         return progress;
       }
-      if (poll == shm::Poll::kEmpty) break;
-      progress = true;
-      if (poll == shm::Poll::kLost) continue;  // loss already booked
-      RawRecord raw{rec, sample};
-      if (!sample) {
-        // Region edges: FORK opens, JOIN closes and carries the duration
-        // downstream in arg (the ring's arg field is unused for events).
-        // FORK and JOIN may surface on different rings, hence the lock.
-        if (rec.event == OMP_EVENT_FORK) {
-          std::scoped_lock lk(p.fork_mu);
-          p.open_forks[rec.tid] = rec.ns;
-        } else if (rec.event == OMP_EVENT_JOIN) {
-          std::scoped_lock lk(p.fork_mu);
-          auto it = p.open_forks.find(rec.tid);
-          if (it != p.open_forks.end()) {
-            if (rec.ns >= it->second) raw.rec.arg = rec.ns - it->second;
-            p.open_forks.erase(it);
+      if (budget > 0) budget -= polled;
+      progress |= polled > 0;
+      for (int k = 0; k < got; ++k) {
+        const shm::Record& rec = batch[k];
+        RawRecord raw{rec, sample};
+        if (!sample) {
+          // Region edges: FORK opens, JOIN closes and carries the duration
+          // downstream in arg (the ring's arg field is unused for events).
+          // FORK and JOIN may surface on different rings, hence the lock.
+          if (rec.event == OMP_EVENT_FORK) {
+            std::scoped_lock lk(p.fork_mu);
+            p.open_forks[rec.tid] = rec.ns;
+          } else if (rec.event == OMP_EVENT_JOIN) {
+            std::scoped_lock lk(p.fork_mu);
+            auto it = p.open_forks.find(rec.tid);
+            if (it != p.open_forks.end()) {
+              if (rec.ns >= it->second) raw.rec.arg = rec.ns - it->second;
+              p.open_forks.erase(it);
+            }
           }
         }
+        p.head->push(raw);
       }
-      p.head->push(raw);
     }
   }
   if (draining && !progress) {
@@ -403,8 +431,8 @@ bool FleetMonitor::drain_ring(Producer& p, std::uint32_t ring) {
     state.done = true;
     const std::uint32_t done =
         p.rings_done.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (done == p.ring_count) {
-      p.phase.store(kDone, std::memory_order_release);
+    if (done == p.ring_count && advance_phase(p.phase, kDraining, kDone)) {
+      ring_bell();  // run() may now exit or reap without a discover tick
     }
     return true;
   }
@@ -435,6 +463,26 @@ void FleetMonitor::shard_loop(unsigned shard, std::uint64_t generation) {
       }
     }
     if (!progress) {
+      // Idle pass: a producer this shard drains that has finalized moves
+      // to kDraining here, not on run()'s discover_ms tick, so the next
+      // passes close its books (and ring run()'s bell at kDone).
+      for (std::size_t i = 0; i < n; ++i) {
+        Producer& p = *producers_[i];
+        const unsigned first_ring =
+            (shard + opts_.shards - static_cast<unsigned>(i % opts_.shards)) %
+            opts_.shards;
+        if (first_ring >= p.ring_count ||
+            p.phase.load(std::memory_order_acquire) != kActive) {
+          continue;
+        }
+        shm::ProducerState state = shm::ProducerState::kActive;
+        const bool ok = shm::with_sigbus_guard(
+            [&] { state = p.reader->producer_state(); });
+        if (ok && state == shm::ProducerState::kFinalized) {
+          p.finalized.store(true, std::memory_order_release);
+          advance_phase(p.phase, kActive, kDraining);
+        }
+      }
       std::this_thread::sleep_for(
           std::chrono::milliseconds(opts_.poll_ms == 0 ? 1 : opts_.poll_ms));
     }
@@ -535,9 +583,16 @@ std::size_t FleetMonitor::run() {
     }
     if (opts_.exit_when_idle && n > 0 && done == n) break;
 
-    std::this_thread::sleep_for(
+    // discover_ms is the fallback cadence (discovery, deaths, stalls);
+    // a shard that closes a producer's books rings the bell and ends the
+    // wait early.
+    std::unique_lock lk(bell_mu_);
+    bell_cv_.wait_for(
+        lk,
         std::chrono::milliseconds(opts_.discover_ms == 0 ? 10
-                                                         : opts_.discover_ms));
+                                                         : opts_.discover_ms),
+        [this] { return bell_; });
+    bell_ = false;
   }
 
   shards_stop_.store(true, std::memory_order_release);
@@ -563,6 +618,14 @@ std::size_t FleetMonitor::run() {
   if (!opts_.trace_out.empty()) write_trace(opts_.trace_out);
   emit_report(true);
   return n;
+}
+
+void FleetMonitor::ring_bell() {
+  {
+    std::scoped_lock lk(bell_mu_);
+    bell_ = true;
+  }
+  bell_cv_.notify_one();
 }
 
 std::size_t FleetMonitor::attached_count() const {

@@ -38,6 +38,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -55,8 +56,14 @@ namespace orca::tool::orcamon {
 struct MonitorOptions {
   std::string prefix = "orca";   ///< segment prefix (ORCA_SHM_PREFIX)
   unsigned shards = 2;           ///< reader threads draining rings
-  unsigned poll_ms = 2;          ///< shard sleep when every ring was empty
-  unsigned discover_ms = 100;    ///< /dev/shm rescan + liveness cadence
+  /// Shard sleep after a pass that found every ring empty: the cadence
+  /// for polling quiet rings and for noticing that a producer finalized.
+  unsigned poll_ms = 2;
+  /// run()'s fallback cadence for /dev/shm discovery, deaths, stalls and
+  /// the shard watchdog. A producer whose books a shard closed (say,
+  /// after it finalized) wakes run() at once (the doorbell), not on this
+  /// tick.
+  unsigned discover_ms = 100;
   double duration_s = 0;         ///< 0 = run until stop()/idle
   double report_interval_s = 5;  ///< 0 = final report only
   std::string trace_out;         ///< Perfetto JSON path ("" = no trace)
@@ -175,6 +182,10 @@ class FleetMonitor {
   bool write_trace(const std::string& path) const;
 
  private:
+  /// Only forward, each move a CAS: kActive -> kDraining (run()'s liveness
+  /// pass, or the shard that sees the producer finalized) -> kDone (the
+  /// shard that closes the last ring), and any phase but kDone ->
+  /// kQuarantined.
   enum Phase : int { kActive = 0, kDraining = 1, kDone = 2, kQuarantined = 3 };
 
   struct RingState {
@@ -242,6 +253,8 @@ class FleetMonitor {
   void record_attach_quarantine(const std::string& name, std::int64_t pid,
                                 const std::string& reason);
   void emit_report(bool final_report);
+  /// Wake run() ahead of its discover_ms timeout.
+  void ring_bell();
   pipeline::StagePtr<RawRecord> build_head(std::int64_t pid, Producer* p);
 
   MonitorOptions opts_;
@@ -253,6 +266,13 @@ class FleetMonitor {
   std::unordered_map<std::string, bool> seen_names_;
   std::unordered_map<std::string, PendingAttach> pending_;
   std::vector<QuarantineRecord> quarantines_;
+
+  /// The monitor doorbell: a shard rings it when it closed a producer's
+  /// books (kDone); run() waits on it with discover_ms as the timeout. A condvar, not a Parker: the
+  /// Parker's spin would be paid on every timed-out tick.
+  std::mutex bell_mu_;
+  std::condition_variable bell_cv_;
+  bool bell_ = false;  ///< guarded by bell_mu_
 
   // Shared pipeline tail (fanout -> {region aggregate, trace collect,
   // counting sink}), built once in the constructor.

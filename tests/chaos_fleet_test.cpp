@@ -22,6 +22,7 @@
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/mman.h>
+#include <sys/prctl.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -62,12 +63,26 @@ void burn_region(int, void*) {
   for (int i = 0; i < 2000; ++i) x = x + i;
 }
 
+/// The test process, parent of every forked producer.
+const pid_t kTestPid = ::getpid();
+
+/// First call in a forked producer: die with the test process. A test
+/// that crashes (or is killed) then takes its producers along at once,
+/// instead of leaving one, SIGSTOPped say, holding ctest's output pipe
+/// until the suite timeout. The getppid() check covers a parent that died
+/// before the prctl.
+void die_with_parent() {
+  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+  if (::getppid() != kTestPid) _exit(1);
+}
+
 /// Child body: export through shm and run parallel regions until the stop
 /// file appears (or a failsafe cap runs out). Chaos may SIGKILL us, or
 /// truncate the segment under our own mapping and let SIGBUS do it — any
 /// exit is a legitimate exit for a chaos victim.
 [[noreturn]] void producer_child(const std::string& prefix,
                                  const std::string& stop_file) {
+  die_with_parent();
   RuntimeConfig cfg;
   cfg.num_threads = 2;
   cfg.max_threads = 4;

@@ -4,12 +4,15 @@
 /// merged Perfetto trace with all three process tracks, a fleet report
 /// with honest per-producer loss books, and a salvaged crash section for
 /// the killed producer — while the two survivors detach cleanly under
-/// load.
+/// load. Also the doorbell: a finalize wakes run() before its discover
+/// tick, and racing finalizes never strand a producer's phase.
 #include <gtest/gtest.h>
 
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "collector/api.h"
+#include "common/clock.hpp"
 #include "runtime/runtime.hpp"
 #include "shm/exporter.hpp"
 #include "shm/reader.hpp"
@@ -47,11 +51,25 @@ void burn_region(int, void*) {
   for (int i = 0; i < 2000; ++i) x = x + i;
 }
 
+/// The test process, parent of every forked producer.
+const pid_t kTestPid = ::getpid();
+
+/// First call in a forked producer: die with the test process. A test
+/// that crashes (or is killed) then takes its producers along at once,
+/// instead of leaving one, SIGSTOPped say, holding ctest's output pipe
+/// until the suite timeout. The getppid() check covers a parent that died
+/// before the prctl.
+void die_with_parent() {
+  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+  if (::getppid() != kTestPid) _exit(1);
+}
+
 /// Child body: export through shm and run parallel regions until the stop
 /// file appears (or a failsafe cap runs out). Clean children delete the
 /// runtime (finalized segment); the victim never gets that far.
 [[noreturn]] void producer_child(const std::string& prefix,
                                  const std::string& stop_file) {
+  die_with_parent();
   RuntimeConfig cfg;
   cfg.num_threads = 2;
   cfg.max_threads = 4;
@@ -205,6 +223,163 @@ TEST(FleetMonitor, ThreeProducersOneKilledMidRun) {
   std::remove(stop_file.c_str());
   std::remove(trace_file.c_str());
   std::remove(opts.report_out.c_str());
+}
+
+/// A forked producer that arms a small segment directly, publishes
+/// `events` records on each of two rings, then waits on `go` to publish as
+/// many again and finalize (disarm). Forked before any monitor thread.
+struct FinalizingProducer {
+  pid_t pid = -1;
+  int go_fd = -1;
+
+  static FinalizingProducer spawn(const std::string& prefix, int events) {
+    int fds[2];
+    if (::pipe(fds) != 0) return {};
+    const pid_t pid = fork();
+    if (pid == 0) {
+      die_with_parent();
+      ::close(fds[1]);
+      orca::shm::ExporterOptions opts;
+      opts.name = orca::shm::default_segment_name(prefix);
+      opts.ring_count = 4;
+      opts.event_capacity = 256;
+      opts.sample_capacity = 16;
+      opts.heartbeat_ms = 10;
+      if (!orca::shm::arm(opts)) _exit(10);
+      const auto publish = [events] {
+        for (int i = 0; i < events; ++i) {
+          orca::shm::mirror_event(0, OMP_EVENT_FORK);
+          orca::shm::mirror_event(1, OMP_EVENT_THR_BEGIN_IDLE);
+        }
+      };
+      publish();
+      char go = 0;
+      if (::read(fds[0], &go, 1) != 1) _exit(11);
+      publish();
+      orca::shm::disarm();  // finalize + unlink
+      _exit(0);
+    }
+    ::close(fds[0]);
+    if (pid < 0) {
+      ::close(fds[1]);
+      return {};
+    }
+    return {pid, fds[1]};
+  }
+
+  /// Lets the producer finalize, then reaps it; its exit code.
+  int finalize_and_reap() {
+    (void)!::write(go_fd, "g", 1);
+    ::close(go_fd);
+    int status = 0;
+    (void)::waitpid(pid, &status, 0);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : 128;
+  }
+};
+
+MonitorOptions doorbell_options(const std::string& prefix) {
+  MonitorOptions opts;
+  opts.prefix = prefix;
+  opts.shards = 2;
+  opts.poll_ms = 1;
+  opts.report_interval_s = 0;
+  opts.report_out = "/dev/null";
+  opts.exit_when_idle = true;
+  opts.duration_s = 30;  // failsafe: idle-exit is the expected path
+  return opts;
+}
+
+/// Waits until the producer's segment exists, so the monitor attaches it
+/// on its first discovery pass.
+bool segment_appears(const std::string& prefix) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (orca::shm::discover_segments(prefix).empty()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+bool attached_within_10s(const FleetMonitor& monitor) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (monitor.attached_count() == 0) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// A finalize wakes run() through the doorbell: the shard that sees it
+// moves the producer to draining, the shard that closes its books rings
+// the bell, and run() returns long before its 2 s discover tick.
+TEST(FleetMonitor, FinalizeWakesRunBeforeDiscoverTick) {
+  const std::string prefix = "orcafleet-bell-" + std::to_string(::getpid());
+  constexpr int kEvents = 100;
+  FinalizingProducer producer = FinalizingProducer::spawn(prefix, kEvents);
+  ASSERT_GT(producer.pid, 0);
+  ASSERT_TRUE(segment_appears(prefix));
+
+  MonitorOptions opts = doorbell_options(prefix);
+  opts.discover_ms = 2000;
+  FleetMonitor monitor(opts);
+  std::atomic<std::uint64_t> returned_ns{0};
+  std::thread runner([&] {
+    monitor.run();
+    returned_ns.store(orca::SteadyClock::now());
+  });
+  ASSERT_TRUE(attached_within_10s(monitor));
+  const std::uint64_t finalize_ns = orca::SteadyClock::now();
+  EXPECT_EQ(producer.finalize_and_reap(), 0);
+  runner.join();
+
+  EXPECT_LT(returned_ns.load() - finalize_ns, 1'000'000'000u)
+      << "run() waited for its discover tick";
+  const std::vector<ProducerInfo> fleet = monitor.producers();
+  ASSERT_EQ(fleet.size(), 1u);
+  EXPECT_TRUE(fleet[0].finalized);
+  EXPECT_TRUE(fleet[0].drained);
+  EXPECT_EQ(fleet[0].produced, 4u * kEvents);
+  EXPECT_EQ(fleet[0].read, 4u * kEvents);
+  EXPECT_EQ(fleet[0].lost, 0u);
+  EXPECT_EQ(monitor.events_seen(), 4u * kEvents);
+}
+
+// Many finalizes with run() polling every millisecond, so its liveness
+// pass races the shards that move the producer to draining and close its
+// books. The phase only moves forward: every session reaches kDone and
+// exits.
+TEST(FleetMonitor, FinalizeRacesNeverStrandThePhase) {
+  constexpr int kSessions = 25;
+  constexpr int kEvents = 20;
+  for (int s = 0; s < kSessions; ++s) {
+    const std::string prefix = "orcafleet-race-" +
+                               std::to_string(::getpid()) + "-" +
+                               std::to_string(s);
+    FinalizingProducer producer = FinalizingProducer::spawn(prefix, kEvents);
+    ASSERT_GT(producer.pid, 0);
+    ASSERT_TRUE(segment_appears(prefix));
+
+    MonitorOptions opts = doorbell_options(prefix);
+    opts.discover_ms = 1;
+    FleetMonitor monitor(opts);
+    const auto start = std::chrono::steady_clock::now();
+    std::thread runner([&] { monitor.run(); });
+    ASSERT_TRUE(attached_within_10s(monitor));
+    EXPECT_EQ(producer.finalize_and_reap(), 0);
+    runner.join();
+
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(10))
+        << "session " << s << " ran to its failsafe";
+    const std::vector<ProducerInfo> fleet = monitor.producers();
+    ASSERT_EQ(fleet.size(), 1u);
+    EXPECT_TRUE(fleet[0].drained) << "session " << s;
+    EXPECT_EQ(fleet[0].produced, fleet[0].read + fleet[0].lost)
+        << "session " << s;
+    EXPECT_EQ(fleet[0].read, 4u * kEvents) << "session " << s;
+  }
 }
 
 // Fixed producers and events, exact output: pins the fleet trace's

@@ -13,7 +13,9 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <thread>
@@ -168,6 +170,202 @@ TEST(ShmExport, RuntimeArmsFromConfigAndMirrorsForkJoin) {
   // Runtime destruction disarms and unlinks.
   EXPECT_FALSE(shm::export_armed());
   EXPECT_TRUE(shm::discover_segments(prefix).empty());
+}
+
+/// Bytes of tmpfs reserved for the segment `name`.
+std::uint64_t allocated_bytes(const std::string& name) {
+  struct stat st {};
+  if (::stat(("/dev/shm/" + name).c_str(), &st) != 0) return 0;
+  return static_cast<std::uint64_t>(st.st_blocks) * 512;
+}
+
+/// Resident bytes of this process's writable mappings of the segment
+/// `name` (the exporter's side), summed from /proc/self/smaps.
+std::uint64_t mapped_bytes(const std::string& name) {
+  std::ifstream in("/proc/self/smaps");
+  const std::string path = "/dev/shm/" + name;
+  std::string line;
+  bool ours = false;
+  std::uint64_t kb = 0;
+  while (std::getline(in, line)) {
+    unsigned long lo = 0, hi = 0;
+    char perms[5] = {};
+    if (std::sscanf(line.c_str(), "%lx-%lx %4s", &lo, &hi, perms) == 3) {
+      ours = std::strcmp(perms, "rw-s") == 0 && line.size() >= path.size() &&
+             line.compare(line.size() - path.size(), path.size(), path) == 0;
+    } else if (ours && line.rfind("Rss:", 0) == 0) {
+      kb += std::stoull(line.substr(4));
+    }
+  }
+  return kb * 1024;
+}
+
+/// Whether /dev/shm may back the segment with huge pages (a `huge=`
+/// mount option other than never, or shmem_enabled forced). Page-granular
+/// residency checks do not hold there.
+bool tmpfs_huge_pages() {
+  std::ifstream mounts("/proc/mounts");
+  std::string dev, dir, type, options, rest;
+  while (mounts >> dev >> dir >> type >> options && std::getline(mounts, rest)) {
+    if (dir == "/dev/shm" && options.find("huge=") != std::string::npos &&
+        options.find("huge=never") == std::string::npos) {
+      return true;
+    }
+  }
+  std::ifstream shmem("/sys/kernel/mm/transparent_hugepage/shmem_enabled");
+  std::string mode;
+  while (shmem >> mode) {
+    if (mode == "[force]") return true;
+  }
+  return false;
+}
+
+/// Whether this kernel knows MADV_POPULATE_WRITE (Linux 5.14+); without
+/// it the warm rings are mapped on first write instead of at arm.
+bool kernel_populates() {
+#ifdef MADV_POPULATE_WRITE
+  const long page = ::sysconf(_SC_PAGESIZE);
+  void* p = ::mmap(nullptr, page, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) return false;
+  const bool ok = ::madvise(p, page, MADV_POPULATE_WRITE) == 0;
+  ::munmap(p, page);
+  return ok;
+#else
+  return false;
+#endif
+}
+
+/// Bytes of one ring's cells, both banks.
+std::uint64_t ring_bytes(const shm::Geometry& geo) {
+  return (std::uint64_t{geo.event_capacity} + geo.sample_capacity) *
+         sizeof(shm::RingCell);
+}
+
+// Arm reserves, and the producer maps, only the header, the ring headers,
+// the team's rings, telemetry and the crash region. A cold ring has no
+// blocks: its records go to ring 0 until the heartbeat backs it, so no
+// publish can meet an unbacked page, and a reader that polls it never
+// touches its cells.
+TEST(ShmExport, ColdRingsTakeNoBlocksUntilBacked) {
+  const std::string prefix = unique_prefix("lazy");
+  shm::ExporterOptions opts;
+  opts.name = shm::default_segment_name(prefix);
+  opts.ring_count = 65;
+  opts.warm_rings = 2;
+  opts.event_capacity = 4096;
+  opts.sample_capacity = 1024;
+  opts.heartbeat_ms = 5;
+  ASSERT_TRUE(shm::arm(opts));
+  const shm::Geometry geo =
+      shm::Geometry::compute(opts.ring_count, opts.event_capacity,
+                             opts.sample_capacity, opts.crash_capacity);
+  const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  const std::uint64_t all_cells = geo.telemetry_off - geo.event_cells_off;
+  const std::uint64_t bound = geo.event_cells_off + 2 * ring_bytes(geo) +
+                              (geo.total_bytes - geo.telemetry_off) +
+                              4 * page;  // boundary pages of each span
+  const std::uint64_t armed = allocated_bytes(opts.name);
+  EXPECT_GE(armed, 2 * ring_bytes(geo));
+  if (!tmpfs_huge_pages()) {
+    EXPECT_LE(armed, bound);
+    EXPECT_LT(armed, all_cells / 10);
+  }
+  if (kernel_populates()) {
+    EXPECT_GE(mapped_bytes(opts.name), 2 * ring_bytes(geo));
+  }
+
+  // A reader polling every ring reads no cold ring's cells.
+  auto reader = shm::SegmentReader::attach(opts.name);
+  ASSERT_NE(reader, nullptr);
+  shm::Record rec;
+  for (std::uint32_t r = 0; r < reader->ring_count(); ++r) {
+    EXPECT_EQ(reader->poll_event(r, &rec), shm::Poll::kEmpty);
+    EXPECT_EQ(reader->poll_sample(r, &rec), shm::Poll::kEmpty);
+  }
+  EXPECT_EQ(allocated_bytes(opts.name), armed);
+
+  // Records of the team land in its rings and take no block.
+  for (int i = 0; i < 3; ++i) {
+    shm::mirror_event(0, OMP_EVENT_FORK);
+    shm::mirror_sample(1, 2, 5);
+  }
+  EXPECT_EQ(allocated_bytes(opts.name), armed);
+
+  // A cold tid's first record goes to ring 0 and asks for its ring; the
+  // heartbeat backs ring 40, and later records land there.
+  shm::mirror_event(40, OMP_EVENT_JOIN);
+  wait_until([&] {
+    return allocated_bytes(opts.name) >= armed + ring_bytes(geo);
+  });
+  EXPECT_GE(allocated_bytes(opts.name), armed + ring_bytes(geo));
+  for (int i = 0; i < 3; ++i) shm::mirror_event(40, OMP_EVENT_THR_BEGIN_EBAR);
+
+  // The reader sees every record where it landed, with its tid, and the
+  // books close exactly.
+  shm::disarm();
+  int forks = 0, samples = 0, joins = 0, barriers = 0;
+  for (std::uint32_t r = 0; r < reader->ring_count(); ++r) {
+    while (reader->poll_event(r, &rec) == shm::Poll::kRecord) {
+      if (r == 0 && rec.event == OMP_EVENT_FORK && rec.tid == 0) ++forks;
+      if (r == 0 && rec.event == OMP_EVENT_JOIN && rec.tid == 40) ++joins;
+      if (r == 40 && rec.event == OMP_EVENT_THR_BEGIN_EBAR && rec.tid == 40) {
+        ++barriers;
+      }
+    }
+    while (reader->poll_sample(r, &rec) == shm::Poll::kRecord) {
+      if (r == 1 && rec.event == 2 && rec.tid == 1 && rec.arg == 5) {
+        ++samples;
+      }
+    }
+    reader->finalize_ring(r);
+  }
+  EXPECT_EQ(forks, 3);
+  EXPECT_EQ(samples, 3);
+  EXPECT_EQ(joins, 1);
+  EXPECT_EQ(barriers, 3);
+  EXPECT_EQ(reader->total_produced(), 10u);
+  EXPECT_EQ(reader->total_read(), 10u);
+  EXPECT_EQ(reader->total_produced(),
+            reader->total_read() + reader->total_lost());
+}
+
+// The runtime backs the rings of its num_threads team at arm; a team
+// grown past that gets its new gtids' rings backed by the heartbeat,
+// and their records then land in their own rings.
+TEST(ShmExport, RuntimeTeamGrownPastArmGetsItsRingsBacked) {
+  const std::string prefix = unique_prefix("grow");
+  RuntimeConfig cfg;
+  cfg.num_threads = 1;
+  cfg.max_threads = 8;
+  cfg.shm_export = true;
+  cfg.shm_prefix = prefix;
+  cfg.shm_ring_capacity = 4096;
+  cfg.shm_heartbeat_ms = 5;
+  Runtime rt(cfg);
+  ASSERT_TRUE(shm::export_armed());
+  const std::string name = shm::armed_segment_name();
+  const shm::Geometry geo =
+      shm::Geometry::compute(cfg.max_threads + 1, 4096,
+                             shm::ExporterOptions{}.sample_capacity,
+                             shm::ExporterOptions{}.crash_capacity);
+  const std::uint64_t armed = allocated_bytes(name);
+
+  rt.fork(&noop_region, nullptr, 3);  // gtids 1 and 2 join
+  wait_until([&] {
+    return allocated_bytes(name) >= armed + 2 * ring_bytes(geo);
+  });
+  EXPECT_GE(allocated_bytes(name), armed + 2 * ring_bytes(geo));
+  rt.fork(&noop_region, nullptr, 3);
+
+  auto reader = shm::SegmentReader::attach(name);
+  ASSERT_NE(reader, nullptr);
+  int own = 0;
+  shm::Record rec;
+  while (reader->poll_event(2, &rec) == shm::Poll::kRecord) {
+    if (rec.tid == 2) ++own;
+  }
+  EXPECT_GT(own, 0) << "gtid 2's records stayed in ring 0";
 }
 
 TEST(ShmExport, DisarmedByDefault) {
